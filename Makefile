@@ -34,23 +34,16 @@ BENCHDELTA_FLAGS ?=
 # word ops and the cached bitmap adjacency it reads — a silently wrong bit
 # there corrupts every dense trial, so both hold the same floor.
 COVER_PROFILE ?= cover.out
-# internal/experiment/campaign holds the crash-safety layer: an untested
-# checkpoint writer is exactly the kind of code that corrupts a 10-hour
-# campaign on the first real crash, so it holds the same floor.
 # internal/service is the radiosd serving layer: admission control, the
 # compiled-graph cache, and graceful drain are all concurrency edges whose
 # failure modes (dropped jobs, poisoned cache, nondeterministic responses)
 # only tests catch, so it holds the same floor.
 COVER_FLOORS ?= adhocradio/internal/obs=85 adhocradio/internal/bitset=85 \
-	adhocradio/internal/graph=85 adhocradio/internal/experiment/campaign=85 \
-	adhocradio/internal/service=85
-
-# Where `make campaign-smoke` stages its sharded/killed/resumed runs.
-CAMPAIGN_DIR ?= campaign-out
+	adhocradio/internal/graph=85 adhocradio/internal/service=85
 
 .PHONY: check build test vet radiolint lint-baseline race race-full fmt-check \
 	bench-smoke bench-compare bench-save bench-kernel fuzz-smoke cover \
-	campaign-smoke service-smoke apisurface
+	service-smoke apisurface
 
 check: build vet fmt-check radiolint test race
 
@@ -81,6 +74,8 @@ race-full:
 # A quick-scale end-to-end run of the whole experiment registry: parallel
 # across all cores, shape checks enforced (-verify exits non-zero on a
 # qualitative-claim regression), machine-readable record left in BENCH_DIR.
+# A second, sequential run goes to BENCH_DIR/seq, and benchdiff requires
+# its canonical record to be byte-identical to the parallel one.
 #
 # The benchmark capture deliberately avoids `cmd | tee file`: in POSIX sh a
 # pipeline's status is the LAST command's, so tee used to swallow go test
@@ -90,6 +85,9 @@ race-full:
 bench-smoke:
 	@mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/radiobench -quick -parallel 0 -verify -json $(BENCH_DIR)
+	$(GO) run ./cmd/radiobench -quick -parallel 1 -verify -json $(BENCH_DIR)/seq
+	$(GO) run ./cmd/benchdiff $(BENCH_DIR)/BENCH_quick_seed1.json \
+		$(BENCH_DIR)/seq/BENCH_quick_seed1.json
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/radio/... \
 		> $(BENCH_DIR)/microbench-smoke.txt 2>&1 \
 		|| { cat $(BENCH_DIR)/microbench-smoke.txt; exit 1; }
@@ -125,42 +123,18 @@ cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) ./...
 	$(GO) run ./cmd/covercheck -profile $(COVER_PROFILE) $(COVER_FLOORS)
 
-# End-to-end gate for the crash-safe sharded campaign layer: an unsharded
-# reference run, a 2-shard campaign whose first shard is deliberately killed
-# after two checkpointed points (RADIOBENCH_CRASH_AFTER) and then resumed,
-# and a benchmerge of the shard documents verified byte-identical against
-# the reference. Binaries are built first instead of `go run` because the
-# injected crash's exit status must reach the shell un-laundered.
-campaign-smoke:
-	@rm -rf $(CAMPAIGN_DIR) && mkdir -p $(CAMPAIGN_DIR)/ref $(CAMPAIGN_DIR)/shards
-	$(GO) build -o $(CAMPAIGN_DIR)/radiobench ./cmd/radiobench
-	$(GO) build -o $(CAMPAIGN_DIR)/benchmerge ./cmd/benchmerge
-	$(CAMPAIGN_DIR)/radiobench -quick -only E2,E5 -seed 3 -runid smoke \
-		-json $(CAMPAIGN_DIR)/ref
-	@echo "campaign-smoke: shard 1/2 will be killed after 2 checkpointed points"
-	@RADIOBENCH_CRASH_AFTER=2 $(CAMPAIGN_DIR)/radiobench -quick -only E2,E5 \
-		-seed 3 -runid smoke -shard 1/2 -json $(CAMPAIGN_DIR)/shards; \
-		st=$$?; if [ $$st -eq 0 ]; then \
-			echo "campaign-smoke: crash injection did not fire"; exit 1; \
-		fi; echo "campaign-smoke: shard 1/2 crashed as injected (exit $$st)"
-	$(CAMPAIGN_DIR)/radiobench -quick -only E2,E5 -seed 3 \
-		-resume smoke_shard1of2 -json $(CAMPAIGN_DIR)/shards
-	$(CAMPAIGN_DIR)/radiobench -quick -only E2,E5 -seed 3 -runid smoke \
-		-shard 2/2 -json $(CAMPAIGN_DIR)/shards
-	$(CAMPAIGN_DIR)/benchmerge -o $(CAMPAIGN_DIR)/BENCH_smoke_merged.json \
-		-against $(CAMPAIGN_DIR)/ref/BENCH_smoke.json \
-		$(CAMPAIGN_DIR)/shards/BENCH_smoke_shard1of2.json \
-		$(CAMPAIGN_DIR)/shards/BENCH_smoke_shard2of2.json
-
 # A short differential-fuzzing pass over the optimized engine vs the naive
 # reference, including fault-injected inputs. The committed corpus under
 # internal/radio/testdata/fuzz/ always replays as part of `make test`; this
 # target additionally mutates for a few seconds to probe fresh inputs. The
 # second run mutates radiolint's suppression parser, which faces arbitrary
-# source text and must never mis-anchor a suppression or crash.
+# source text and must never mis-anchor a suppression or crash. The third
+# mutates the topology specs radiosd decodes from requests: Normalize must
+# never panic, must be idempotent, and must agree with Canonical.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunVsReference -fuzztime=10s ./internal/radio
 	$(GO) test -run=NONE -fuzz=FuzzParseSuppressions -fuzztime=10s ./internal/analysis
+	$(GO) test -run=NONE -fuzz=FuzzSpecNormalize -fuzztime=10s ./internal/graph
 
 # End-to-end gate for the radiosd serving layer, run under the race
 # detector: a real daemon child process, concurrent clients mixing cached

@@ -14,9 +14,6 @@
 //	radiobench -cpuprofile cpu.pprof        # capture a CPU profile
 //	radiobench -memprofile mem.pprof        # heap profile at exit
 //	radiobench -goroutineprofile grt.pprof  # goroutine dump at exit
-//	radiobench -json out/ -ckpt             # checkpoint each point; resumable
-//	radiobench -json out/ -shard 1/2        # run half the points (see benchmerge)
-//	radiobench -json out/ -resume quick_seed1_shard1of2   # pick up after a crash
 //
 // The experiment engine derives every random stream from (seed, point/trial
 // index), so the tables — and the deterministic portion of the JSON — are
@@ -25,20 +22,11 @@
 // revision, effective flags) and, per experiment, the aggregated engine
 // counters plus per-trial wall-time statistics; benchjson.Canonical keeps
 // the counters (deterministic) and strips everything timing- or
-// environment-shaped.
+// environment-shaped. cmd/benchdiff compares the canonical projections of
+// two records byte for byte.
 //
 // SIGINT cancels the run between measurement points: completed tables are
 // still written, and the JSON record is emitted with "interrupted": true.
-//
-// Campaign mode (-shard, -resume, -ckpt; requires -json) makes runs
-// crash-safe and distributable: every completed measurement point is
-// appended to <runid>.ckpt — an fsync'd, self-checksummed JSON-line file
-// rewritten atomically — before the next point starts, -resume replays the
-// checkpointed points without re-simulation, and -shard i/k runs only the
-// points with index ≡ i-1 (mod k). Because every random stream derives from
-// (seed, point/trial index), the union of shard outputs merged by
-// cmd/benchmerge — and a run killed mid-campaign then resumed — is
-// canonically byte-identical to one uninterrupted unsharded run.
 package main
 
 import (
@@ -59,7 +47,6 @@ import (
 	"adhocradio"
 	"adhocradio/internal/experiment"
 	"adhocradio/internal/experiment/benchjson"
-	"adhocradio/internal/experiment/campaign"
 	"adhocradio/internal/obs"
 )
 
@@ -85,23 +72,6 @@ type options struct {
 	cpuProfile       string
 	memProfile       string
 	goroutineProfile string
-	shard            string
-	resume           string
-	ckpt             bool
-	// afterPoint, when non-nil, runs after each measurement point is
-	// durably checkpointed (campaign mode only) — the hook the SIGINT
-	// end-to-end test hangs off.
-	afterPoint func(exp string, point int)
-	// crashAfter > 0 simulates a crash (os.Exit without unwinding) after
-	// that many freshly committed points; set from RADIOBENCH_CRASH_AFTER
-	// so `make campaign-smoke` can kill a run at a deterministic spot.
-	crashAfter int
-}
-
-// campaignMode reports whether any campaign feature (sharding, resuming,
-// or plain checkpointing) is requested.
-func (o options) campaignMode() bool {
-	return o.shard != "" || o.resume != "" || o.ckpt
 }
 
 // flagMap renders the resolved options for the run manifest.
@@ -118,15 +88,6 @@ func (o options) flagMap() map[string]string {
 	}
 	if o.runID != "" {
 		m["runid"] = o.runID
-	}
-	if o.shard != "" {
-		m["shard"] = o.shard
-	}
-	if o.resume != "" {
-		m["resume"] = o.resume
-	}
-	if o.ckpt {
-		m["ckpt"] = "true"
 	}
 	return m
 }
@@ -145,17 +106,7 @@ func run() error {
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	flag.StringVar(&o.goroutineProfile, "goroutineprofile", "", "write a goroutine profile to this file at exit")
-	flag.StringVar(&o.shard, "shard", "", "run only shard i of k measurement points, syntax i/k (requires -json; shard outputs merge with cmd/benchmerge)")
-	flag.StringVar(&o.resume, "resume", "", "resume the campaign with this run id from its <runid>.ckpt checkpoint (requires -json)")
-	flag.BoolVar(&o.ckpt, "ckpt", false, "checkpoint every completed measurement point so the run is resumable (-shard and -resume imply this)")
 	flag.Parse()
-	if v := os.Getenv("RADIOBENCH_CRASH_AFTER"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return fmt.Errorf("RADIOBENCH_CRASH_AFTER=%q: want a positive integer", v)
-		}
-		o.crashAfter = n
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -226,13 +177,6 @@ func runWith(ctx context.Context, o options, stdout io.Writer) error {
 		}
 	}
 
-	shard := campaign.Single()
-	if o.shard != "" {
-		var err error
-		if shard, err = campaign.ParseShard(o.shard); err != nil {
-			return err
-		}
-	}
 	id := o.runID
 	if id == "" {
 		mode := "full"
@@ -241,72 +185,18 @@ func runWith(ctx context.Context, o options, stdout io.Writer) error {
 		}
 		id = fmt.Sprintf("%s_seed%d", mode, o.seed)
 	}
-	if o.resume != "" {
-		if o.runID != "" && o.runID != o.resume {
-			return fmt.Errorf("-runid %s conflicts with -resume %s", o.runID, o.resume)
-		}
-		id = o.resume
-	} else if shard.Count > 1 {
-		id += shard.Suffix()
-	}
-
-	var camp *campaign.State
-	if o.campaignMode() {
-		if o.jsonDir == "" {
-			return fmt.Errorf("campaign mode (-shard/-resume/-ckpt) needs -json DIR to hold the checkpoint and record")
-		}
-		if o.verify && shard.Count > 1 {
-			return fmt.Errorf("-verify needs complete tables; run it against the merged document, not a shard")
-		}
-		ckptPath := filepath.Join(o.jsonDir, id+".ckpt")
-		hdr := campaign.Header{Seed: o.seed, Quick: o.quick, Trials: o.trials, Only: o.only}
-		var err error
-		if o.resume != "" {
-			if camp, err = campaign.Resume(ckptPath, id, hdr); err != nil {
-				return err
-			}
-			if o.shard != "" && camp.Shard != shard {
-				return fmt.Errorf("-shard %s conflicts with the checkpoint's shard %s", shard, camp.Shard)
-			}
-			shard = camp.Shard
-			fmt.Fprintf(stdout, "resuming %s: %d measurement point(s) already checkpointed\n\n", id, camp.Checkpointed())
-		} else if camp, err = campaign.Create(ckptPath, id, shard, hdr); err != nil {
-			return err
-		}
-		camp.AfterPoint = o.afterPoint
-		if o.crashAfter > 0 {
-			user := camp.AfterPoint
-			committed := 0
-			camp.AfterPoint = func(exp string, point int) {
-				if user != nil {
-					user(exp, point)
-				}
-				if committed++; committed == o.crashAfter {
-					// Simulated SIGKILL for make campaign-smoke: exit without
-					// unwinding, leaving only the fsync'd checkpoint behind.
-					fmt.Fprintf(os.Stderr, "radiobench: RADIOBENCH_CRASH_AFTER=%d: simulating a crash after %s point %d\n",
-						o.crashAfter, exp, point)
-					os.Exit(3)
-				}
-			}
-		}
-		cfg.Campaign = camp
-	}
 
 	record := &benchjson.Run{
-		Schema:   benchjson.SchemaVersion,
-		ID:       id,
-		Seed:     o.seed,
-		Quick:    o.quick,
-		Trials:   o.trials,
-		Parallel: o.parallel,
-		Workers:  workers,
-		Manifest: benchjson.NewManifest(o.flagMap()),
+		Schema:      benchjson.SchemaVersion,
+		ID:          id,
+		Seed:        o.seed,
+		Quick:       o.quick,
+		Trials:      o.trials,
+		Parallel:    o.parallel,
+		Workers:     workers,
+		Manifest:    benchjson.NewManifest(o.flagMap()),
+		Experiments: []benchjson.Experiment{},
 	}
-	if shard.Count > 1 {
-		record.ShardIndex, record.ShardCount = shard.Index, shard.Count
-	}
-	record.Experiments = []benchjson.Experiment{}
 
 	var (
 		failures    []string
@@ -349,18 +239,6 @@ func runWith(ctx context.Context, o options, stdout io.Writer) error {
 			je.Counters = &counters
 		}
 		je.TrialStats = benchjson.TrialStatsFrom(trialHist)
-		if camp != nil {
-			// Campaign provenance: which measurement point produced which
-			// rows (what benchmerge interleaves on), and the raw trial
-			// histogram so shard histograms merge into one TrialStats.
-			for _, sp := range camp.Spans(e.ID) {
-				je.Points = append(je.Points, benchjson.PointSpan{Index: sp.Point, Rows: sp.Rows})
-			}
-			if trialHist.Count > 0 {
-				h := trialHist
-				je.TrialHist = &h
-			}
-		}
 		if o.verify {
 			je.ShapeCheck = checkShape(e.ID, tab, o.quick)
 			switch {

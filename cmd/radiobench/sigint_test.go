@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"adhocradio/internal/experiment/benchjson"
-	"adhocradio/internal/experiment/campaign"
 )
 
 // TestMain turns the test binary into a radiobench child process when
@@ -30,43 +29,73 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// childCkptMarker is printed by the child once two measurement points are
-// durably checkpointed; the parent waits for it before signalling.
-const childCkptMarker = "CKPT_MARKER_2_POINTS"
+// childMarker is printed by the child right after E2's "finished" line;
+// the parent waits for it before signalling.
+const childMarker = "E2_DONE_MARKER"
 
-// childMain runs the same campaign workload as TestCampaignBitIdentity
-// under a signal.NotifyContext, pausing after two committed points until
-// the parent's SIGINT arrives (so the cut lands at a deterministic spot).
+// sigintOpts is the child's workload: E2 and then E5, so a signal that
+// arrives after E2 interrupts the run before E5 starts.
+func sigintOpts(jsonDir, only string) options {
+	return options{only: only, quick: true, seed: 3, parallel: 2, jsonDir: jsonDir, runID: "kr"}
+}
+
+// pauseAfterE2 passes the child's output through to w. Once the output
+// reports E2 finished, it prints childMarker and blocks until ctx is
+// cancelled, so the parent's SIGINT lands between E2 and E5.
+type pauseAfterE2 struct {
+	ctx context.Context
+	w   io.Writer
+}
+
+func (p pauseAfterE2) Write(b []byte) (int, error) {
+	n, err := p.w.Write(b)
+	if bytes.Contains(b, []byte("(E2 finished in")) {
+		fmt.Fprintln(p.w, childMarker)
+		<-p.ctx.Done()
+	}
+	return n, err
+}
+
+// childMain runs the E2,E5 workload under a signal.NotifyContext.
 func childMain() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	o := campaignOpts(os.Getenv("RADIOBENCH_CHILD_JSON"), "kr")
-	o.ckpt = true
-	points := 0
-	o.afterPoint = func(string, int) {
-		if points++; points == 2 {
-			fmt.Println(childCkptMarker)
-			<-ctx.Done()
-		}
-	}
-	if err := runWith(ctx, o, os.Stdout); err != nil {
+	o := sigintOpts(os.Getenv("RADIOBENCH_CHILD_JSON"), "E2,E5")
+	if err := runWith(ctx, o, pauseAfterE2{ctx, os.Stdout}); err != nil {
 		fmt.Fprintln(os.Stderr, "radiobench:", err)
 		return 1
 	}
 	return 0
 }
 
-// TestSIGINTCampaignEndToEnd sends a real SIGINT to a radiobench child
-// process mid-campaign and asserts the whole recovery story: the child
-// exits non-zero leaving a valid checkpoint and a schema-valid partial
-// JSON flagged interrupted; -resume completes the run; and the final
-// document is canonically byte-identical to an uninterrupted run.
-func TestSIGINTCampaignEndToEnd(t *testing.T) {
+func readRun(t *testing.T, path string) *benchjson.Run {
+	t.Helper()
+	r, err := benchjson.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func canonicalBytes(t *testing.T, r *benchjson.Run) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := benchjson.Encode(&buf, r.Canonical()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSIGINTEndToEnd sends a real SIGINT to a radiobench child process
+// between two experiments: the child exits non-zero and writes a partial
+// record flagged interrupted that holds exactly the completed experiment,
+// canonically byte-identical to an uninterrupted run of it alone.
+func TestSIGINTEndToEnd(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal delivery")
 	}
 	if testing.Short() {
-		t.Skip("spawns a child process running the quick suite")
+		t.Skip("spawns a child process running part of the quick suite")
 	}
 	dir := t.TempDir()
 
@@ -84,12 +113,12 @@ func TestSIGINTCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for the two-points-committed marker, then deliver the signal.
+	// Wait for the E2 marker, then deliver the signal.
 	marker := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			if strings.Contains(sc.Text(), childCkptMarker) {
+			if strings.Contains(sc.Text(), childMarker) {
 				marker <- nil
 				break
 			}
@@ -98,7 +127,7 @@ func TestSIGINTCampaignEndToEnd(t *testing.T) {
 		for sc.Scan() {
 		}
 		select {
-		case marker <- fmt.Errorf("child exited without printing the checkpoint marker"):
+		case marker <- fmt.Errorf("child exited without printing the E2 marker"):
 		default:
 		}
 	}()
@@ -112,7 +141,7 @@ func TestSIGINTCampaignEndToEnd(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		cmd.Process.Kill()
 		cmd.Wait()
-		t.Fatal("timed out waiting for the child's checkpoint marker")
+		t.Fatal("timed out waiting for the child's E2 marker")
 	}
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
@@ -121,47 +150,24 @@ func TestSIGINTCampaignEndToEnd(t *testing.T) {
 		t.Fatal("interrupted child exited zero")
 	}
 
-	// The checkpoint survived the signal and holds exactly the two
-	// committed points.
-	st, err := campaign.Resume(filepath.Join(dir, "kr.ckpt"), "kr",
-		campaign.Header{Seed: 3, Quick: true, Only: "E2,E5"})
-	if err != nil {
-		t.Fatalf("checkpoint invalid after SIGINT: %v", err)
-	}
-	if st.Checkpointed() != 2 {
-		t.Fatalf("checkpoint holds %d points, want 2", st.Checkpointed())
-	}
-
-	// The partial JSON is schema-valid and flagged interrupted.
 	partial := readRun(t, filepath.Join(dir, benchjson.Filename("kr")))
 	if !partial.Interrupted {
 		t.Fatal("partial record not flagged interrupted")
 	}
-
-	// Resume to completion in-process.
-	ro := campaignOpts(dir, "")
-	ro.resume = "kr"
-	var out bytes.Buffer
-	if err := runWith(context.Background(), ro, &out); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !strings.Contains(out.String(), "2 measurement point(s) already checkpointed") {
-		t.Fatalf("resume did not replay the checkpoint:\n%s", out.String())
-	}
-	resumed := readRun(t, filepath.Join(dir, benchjson.Filename("kr")))
-	if resumed.Interrupted {
-		t.Fatal("resumed record still flagged interrupted")
+	if len(partial.Experiments) != 1 || partial.Experiments[0].ID != "E2" {
+		t.Fatalf("partial record holds %d experiments, want exactly E2", len(partial.Experiments))
 	}
 
-	// Byte-identity against an uninterrupted run of the same workload and
-	// run id (the id is part of the canonical document).
+	// Apart from the interruption flag, the partial record is an
+	// uninterrupted run of E2 alone (the run id is part of the canonical
+	// document, so both use "kr").
 	dirRef := t.TempDir()
-	if err := runWith(context.Background(), campaignOpts(dirRef, "kr"), io.Discard); err != nil {
+	if err := runWith(context.Background(), sigintOpts(dirRef, "E2"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	ref := readRun(t, filepath.Join(dirRef, benchjson.Filename("kr")))
-	got, want := canonicalBytes(t, resumed), canonicalBytes(t, ref)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("SIGINT-resumed run differs from the uninterrupted run:\n%s\nvs\n%s", got, want)
+	partial.Interrupted = false
+	if got, want := canonicalBytes(t, partial), canonicalBytes(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("interrupted run's E2 differs from an uninterrupted E2 run:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -1,16 +1,15 @@
 // Command radiosd is the long-running simulation service: the adhocradio
 // engine behind a small HTTP/JSON API, for driving parameter sweeps from
-// notebooks or sharing one warm simulation host between users.
+// notebooks or sharing one warm simulation host between users. The
+// experiment tables E1–E17 come from cmd/radiobench, not from here.
 //
 //	radiosd -addr :8080 -workers 4
 //
 // Endpoints:
 //
-//	POST /v1/simulate            run one broadcast simulation (synchronous)
-//	POST /v1/experiments/{id}    start a registered experiment (async, 202)
-//	GET  /v1/jobs/{id}           job status and result
-//	GET  /healthz                liveness ("ok", "draining")
-//	GET  /metrics                Prometheus text format
+//	POST /v1/simulate   run one broadcast simulation (body at most 1 MiB)
+//	GET  /healthz       liveness ("ok", "draining")
+//	GET  /metrics       Prometheus text format
 //
 // Repeated requests for the same topology spec share one compiled graph via
 // an LRU cache; responses are deterministic functions of the request, so a
@@ -107,8 +106,8 @@ func runWith(ctx context.Context, o options, out io.Writer) error {
 	}
 
 	// Graceful drain, in dependency order: first let in-flight HTTP
-	// requests finish (synchronous simulate handlers wait for their jobs),
-	// then let the workers empty the queue of accepted async jobs.
+	// requests finish (each simulate handler waits for its job), then let
+	// the workers finish the jobs whose requests timed out.
 	fmt.Fprintln(out, "radiosd: shutdown requested; draining")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainGrace)
 	defer cancel()

@@ -23,8 +23,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
 
 	"adhocradio/internal/experiment"
 	"adhocradio/internal/obs"
@@ -147,22 +145,6 @@ type Experiment struct {
 	// TrialStats aggregates per-trial wall times (observational).
 	TrialStats *TrialStats `json:"trial_stats,omitempty"`
 	Timing     *Timing     `json:"timing,omitempty"`
-	// Points maps Rows back to measurement points (campaign runs only):
-	// span j covers the next span.Rows rows, produced by point span.Index.
-	// cmd/benchmerge uses it to re-interleave shard outputs in point order.
-	// Provenance, not payload — stripped by Canonical.
-	Points []PointSpan `json:"points,omitempty"`
-	// TrialHist is the full per-trial wall-time histogram (campaign runs
-	// only, so shard histograms can be merged into one TrialStats).
-	// Observational, stripped by Canonical like TrialStats.
-	TrialHist *obs.Hist `json:"trial_hist,omitempty"`
-}
-
-// PointSpan ties a contiguous slice of an experiment's Rows to the
-// measurement point that produced it.
-type PointSpan struct {
-	Index int `json:"index"`
-	Rows  int `json:"rows"`
 }
 
 // Run is the top-level BENCH_<id>.json document.
@@ -182,14 +164,6 @@ type Run struct {
 	// Manifest describes the producing environment (schema v2; stripped by
 	// Canonical).
 	Manifest *Manifest `json:"manifest,omitempty"`
-	// ShardIndex/ShardCount identify a campaign shard (1-based; both 0 when
-	// the run is not sharded). A shard document holds only the points its
-	// shard owns; cmd/benchmerge combines the full set. They survive
-	// Canonical — which slice of the point space a document holds is part of
-	// its deterministic identity, and both are 0 on merged and unsharded
-	// documents alike.
-	ShardIndex int `json:"shard_index,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
 	// Interrupted is true when the run was cancelled (SIGINT) and the
 	// document holds only the experiments completed before cancellation.
 	Interrupted bool         `json:"interrupted,omitempty"`
@@ -228,8 +202,6 @@ func (r *Run) Canonical() *Run {
 	for i, e := range r.Experiments {
 		e.Timing = nil
 		e.TrialStats = nil
-		e.TrialHist = nil
-		e.Points = nil
 		c.Experiments[i] = e
 	}
 	return &c
@@ -313,216 +285,4 @@ func ReadFile(path string) (*Run, error) {
 		return nil, fmt.Errorf("benchjson: %s: %w", path, err)
 	}
 	return r, nil
-}
-
-// MergeOptions configures Merge.
-type MergeOptions struct {
-	// ID names the merged run. Empty derives it from the inputs by
-	// stripping each shard's "_shard<i>of<k>" suffix (which must then agree
-	// across inputs).
-	ID string
-	// Force skips the environment-manifest equality check (toolchain, OS,
-	// architecture). Seeds and workload shape are always enforced — those
-	// mismatches change bytes, not just provenance.
-	Force bool
-}
-
-// Merge combines the complete shard documents of one campaign into a single
-// document that is canonically byte-identical to an unsharded run of the
-// same workload. It refuses partial input: every shard 1..k must be
-// present exactly once, none may be interrupted (resume it first), and all
-// must agree on seed, workload shape, and (unless Force) environment. Rows
-// are re-interleaved in measurement-point order using each experiment's
-// PointSpan provenance; counters are summed (integer addition commutes, so
-// the totals match the unsharded run exactly) and trial histograms are
-// merged into one TrialStats. A single already-complete unsharded document
-// passes through (with provenance fields dropped), which is what lets one
-// merge pipeline serve both sharded and merely-resumed campaigns.
-func Merge(runs []*Run, opt MergeOptions) (*Run, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("benchjson: merge: no input documents")
-	}
-	first := runs[0]
-	for _, r := range runs {
-		if r.Schema != SchemaVersion {
-			return nil, fmt.Errorf("benchjson: merge: %s: schema %d, this build merges %d", r.ID, r.Schema, SchemaVersion)
-		}
-		if r.Interrupted {
-			return nil, fmt.Errorf("benchjson: merge: %s is interrupted — resume it to completion first", r.ID)
-		}
-		if r.Seed != first.Seed || r.Quick != first.Quick || r.Trials != first.Trials {
-			return nil, fmt.Errorf("benchjson: merge: workload mismatch: %s is seed=%d quick=%v trials=%d, %s is seed=%d quick=%v trials=%d",
-				first.ID, first.Seed, first.Quick, first.Trials, r.ID, r.Seed, r.Quick, r.Trials)
-		}
-		if !opt.Force && r.Manifest != nil && first.Manifest != nil {
-			a, b := first.Manifest, r.Manifest
-			if a.GoVersion != b.GoVersion || a.GOOS != b.GOOS || a.GOARCH != b.GOARCH {
-				return nil, fmt.Errorf("benchjson: merge: environment mismatch: %s built with %s/%s/%s, %s with %s/%s/%s (use -force to override)",
-					first.ID, a.GoVersion, a.GOOS, a.GOARCH, r.ID, b.GoVersion, b.GOOS, b.GOARCH)
-			}
-		}
-	}
-	k := first.ShardCount
-	if k == 0 {
-		if len(runs) != 1 {
-			return nil, fmt.Errorf("benchjson: merge: %s is not a shard document but %d inputs were given", first.ID, len(runs))
-		}
-	} else {
-		seen := make([]bool, k+1)
-		for _, r := range runs {
-			if r.ShardCount != k {
-				return nil, fmt.Errorf("benchjson: merge: %s says %d shards, %s says %d", first.ID, k, r.ID, r.ShardCount)
-			}
-			if r.ShardIndex < 1 || r.ShardIndex > k {
-				return nil, fmt.Errorf("benchjson: merge: %s has shard index %d of %d", r.ID, r.ShardIndex, k)
-			}
-			if seen[r.ShardIndex] {
-				return nil, fmt.Errorf("benchjson: merge: shard %d/%d appears twice", r.ShardIndex, k)
-			}
-			seen[r.ShardIndex] = true
-		}
-		if len(runs) != k {
-			return nil, fmt.Errorf("benchjson: merge: have %d of %d shards", len(runs), k)
-		}
-	}
-	id := opt.ID
-	if id == "" {
-		for _, r := range runs {
-			base := strings.TrimSuffix(r.ID, fmt.Sprintf("_shard%dof%d", r.ShardIndex, r.ShardCount))
-			if id == "" {
-				id = base
-			} else if id != base {
-				return nil, fmt.Errorf("benchjson: merge: inputs derive different run ids (%q vs %q); pass an explicit id", id, base)
-			}
-		}
-	}
-	for _, r := range runs[1:] {
-		if len(r.Experiments) != len(first.Experiments) {
-			return nil, fmt.Errorf("benchjson: merge: %s has %d experiments, %s has %d",
-				first.ID, len(first.Experiments), r.ID, len(r.Experiments))
-		}
-	}
-
-	out := &Run{
-		Schema: SchemaVersion,
-		ID:     id,
-		Seed:   first.Seed,
-		Quick:  first.Quick,
-		Trials: first.Trials,
-	}
-	out.Experiments = make([]Experiment, 0, len(first.Experiments))
-	for e := range first.Experiments {
-		me, err := mergeExperiment(runs, e)
-		if err != nil {
-			return nil, err
-		}
-		out.Experiments = append(out.Experiments, me)
-	}
-	return out, nil
-}
-
-// mergeExperiment interleaves experiment position e of every input in
-// point order, validating the PointSpan provenance covers each document's
-// rows exactly and that the union of points is contiguous from 0.
-func mergeExperiment(runs []*Run, e int) (Experiment, error) {
-	ref := runs[0].Experiments[e]
-	type part struct {
-		point int
-		rows  [][]string
-	}
-	var (
-		parts    []part
-		counters obs.Counters
-		hist     obs.Hist
-		haveHist bool
-	)
-	for _, r := range runs {
-		exp := r.Experiments[e]
-		if exp.ID != ref.ID || exp.Title != ref.Title {
-			return Experiment{}, fmt.Errorf("benchjson: merge: experiment %d is %s in %s but %s in %s",
-				e, ref.ID, runs[0].ID, exp.ID, r.ID)
-		}
-		if !slicesEqual(exp.Columns, ref.Columns) || !slicesEqual(exp.Notes, ref.Notes) {
-			return Experiment{}, fmt.Errorf("benchjson: merge: %s: columns/notes differ between %s and %s", exp.ID, runs[0].ID, r.ID)
-		}
-		// ShapeCheck survives Canonical, so it must survive the merge too.
-		// Shards never run -verify (it is refused pre-merge), so the inputs
-		// always agree in legitimate use; a disagreement means the inputs
-		// are not parts of one campaign.
-		if exp.ShapeCheck != ref.ShapeCheck {
-			return Experiment{}, fmt.Errorf("benchjson: merge: %s: shape-check results differ between %s and %s", exp.ID, runs[0].ID, r.ID)
-		}
-		if r.ShardCount == 0 {
-			// Pass-through of a complete unsharded document: its rows are
-			// already in point order.
-			parts = append(parts, part{point: 0, rows: exp.Rows})
-		} else {
-			off := 0
-			for _, sp := range exp.Points {
-				if sp.Rows < 0 || off+sp.Rows > len(exp.Rows) {
-					return Experiment{}, fmt.Errorf("benchjson: merge: %s in %s: point spans overrun the rows", exp.ID, r.ID)
-				}
-				parts = append(parts, part{point: sp.Index, rows: exp.Rows[off : off+sp.Rows]})
-				off += sp.Rows
-			}
-			if off != len(exp.Rows) {
-				return Experiment{}, fmt.Errorf("benchjson: merge: %s in %s: %d of %d rows not covered by point spans — not a campaign document?",
-					exp.ID, r.ID, len(exp.Rows)-off, len(exp.Rows))
-			}
-		}
-		if exp.Counters != nil {
-			counters.Add(*exp.Counters)
-		}
-		if exp.TrialHist != nil {
-			if err := hist.MergeChecked(*exp.TrialHist); err != nil {
-				return Experiment{}, fmt.Errorf("benchjson: merge: %s in %s: %w", exp.ID, r.ID, err)
-			}
-			haveHist = true
-		}
-	}
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].point < parts[j].point })
-	if runs[0].ShardCount != 0 {
-		for j, p := range parts {
-			if p.point != j {
-				return Experiment{}, fmt.Errorf("benchjson: merge: %s: point coverage broken at %d (duplicate or gap)", ref.ID, j)
-			}
-		}
-	}
-	rows := make([][]string, 0)
-	for _, p := range parts {
-		rows = append(rows, p.rows...)
-	}
-	me := Experiment{
-		ID:         ref.ID,
-		Title:      ref.Title,
-		Columns:    append([]string(nil), ref.Columns...),
-		Rows:       rows,
-		Notes:      append([]string(nil), ref.Notes...),
-		ShapeCheck: ref.ShapeCheck,
-	}
-	if !counters.IsZero() {
-		c := counters
-		me.Counters = &c
-	}
-	if haveHist {
-		me.TrialStats = TrialStatsFrom(hist)
-	} else if runs[0].ShardCount == 0 && ref.TrialStats != nil {
-		// Pass-through of a complete document: nothing to recompute, so the
-		// observational stats are carried rather than dropped.
-		ts := *ref.TrialStats
-		me.TrialStats = &ts
-	}
-	return me, nil
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

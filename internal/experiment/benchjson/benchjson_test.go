@@ -165,217 +165,6 @@ func TestFilename(t *testing.T) {
 	}
 }
 
-// shardPair builds the two shard documents of a small campaign (one
-// experiment, 3 measurement points split by parity) plus the document an
-// unsharded run of the same workload would produce.
-func shardPair() (s1, s2, unsharded *Run) {
-	mkRun := func(id string, idx, cnt int) *Run {
-		return &Run{
-			Schema:     SchemaVersion,
-			ID:         id,
-			Seed:       7,
-			Quick:      true,
-			ShardIndex: idx,
-			ShardCount: cnt,
-			Manifest:   &Manifest{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"},
-		}
-	}
-	base := Experiment{
-		ID:      "E1",
-		Title:   "demo",
-		Columns: []string{"n", "t"},
-		Notes:   []string{"a note"},
-	}
-
-	var h1 obs.Hist
-	h1.Observe(100)
-	h1.Observe(200)
-	e1 := base
-	e1.Rows = [][]string{{"p0", "1"}, {"p2", "1"}}
-	e1.Points = []PointSpan{{Index: 0, Rows: 1}, {Index: 2, Rows: 1}}
-	e1.Counters = &obs.Counters{Steps: 10}
-	e1.TrialHist = &h1
-	s1 = mkRun("camp_shard1of2", 1, 2)
-	s1.Experiments = []Experiment{e1}
-
-	var h2 obs.Hist
-	h2.Observe(400)
-	e2 := base
-	e2.Rows = [][]string{{"p1", "a"}, {"p1", "b"}}
-	e2.Points = []PointSpan{{Index: 1, Rows: 2}}
-	e2.Counters = &obs.Counters{Steps: 5}
-	e2.TrialHist = &h2
-	s2 = mkRun("camp_shard2of2", 2, 2)
-	s2.Experiments = []Experiment{e2}
-
-	eu := base
-	eu.Rows = [][]string{{"p0", "1"}, {"p1", "a"}, {"p1", "b"}, {"p2", "1"}}
-	eu.Counters = &obs.Counters{Steps: 15}
-	unsharded = mkRun("camp", 0, 0)
-	unsharded.Experiments = []Experiment{eu}
-	return s1, s2, unsharded
-}
-
-func canonBytes(t *testing.T, r *Run) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := Encode(&buf, r.Canonical()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestMergeInterleavesShards: the merged document is canonically
-// byte-identical to the unsharded run — rows back in point order, counters
-// summed, run id derived by stripping the shard suffix.
-func TestMergeInterleavesShards(t *testing.T) {
-	s1, s2, want := shardPair()
-	for _, order := range [][]*Run{{s1, s2}, {s2, s1}} {
-		got, err := Merge(order, MergeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.ID != "camp" {
-			t.Fatalf("derived id = %q, want camp", got.ID)
-		}
-		if !bytes.Equal(canonBytes(t, got), canonBytes(t, want)) {
-			t.Fatalf("merged canonical differs from unsharded:\n%s\nvs\n%s",
-				canonBytes(t, got), canonBytes(t, want))
-		}
-		ts := got.Experiments[0].TrialStats
-		if ts == nil || ts.Trials != 3 || ts.MinNS != 100 || ts.MaxNS != 400 {
-			t.Fatalf("merged trial stats = %+v, want 3 trials spanning [100,400]", ts)
-		}
-		if len(got.Experiments[0].Points) != 0 || got.Experiments[0].TrialHist != nil {
-			t.Fatal("merged document kept shard provenance")
-		}
-		if got.ShardIndex != 0 || got.ShardCount != 0 {
-			t.Fatal("merged document still claims to be a shard")
-		}
-	}
-	// An explicit id overrides derivation.
-	got, err := Merge([]*Run{s1, s2}, MergeOptions{ID: "other"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != "other" {
-		t.Fatalf("id = %q, want other", got.ID)
-	}
-}
-
-// TestMergePassThroughSingleComplete: one complete unsharded document (a
-// merely-resumed campaign) merges to itself, minus provenance.
-func TestMergePassThroughSingleComplete(t *testing.T) {
-	_, _, un := shardPair()
-	// Give the input the fields only complete non-campaign documents carry:
-	// a shape-check verdict (canonical) and observational trial stats (not
-	// canonical, but pass-through must not discard them either).
-	un.Experiments[0].ShapeCheck = "pass"
-	un.Experiments[0].TrialStats = &TrialStats{Trials: 4, TotalNS: 100, MinNS: 10, MaxNS: 40, MeanNS: 25}
-	got, err := Merge([]*Run{un}, MergeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonBytes(t, got), canonBytes(t, un)) {
-		t.Fatal("pass-through changed the canonical document")
-	}
-	if got.Experiments[0].ShapeCheck != "pass" {
-		t.Fatalf("pass-through dropped the shape-check verdict: %+v", got.Experiments[0])
-	}
-	if ts := got.Experiments[0].TrialStats; ts == nil || ts.Trials != 4 {
-		t.Fatalf("pass-through dropped the trial stats: %+v", got.Experiments[0])
-	}
-}
-
-func TestMergeValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(s1, s2 *Run) []*Run
-		opt  MergeOptions
-		want string
-	}{
-		{"no-inputs", func(s1, s2 *Run) []*Run { return nil }, MergeOptions{}, "no input"},
-		{"interrupted", func(s1, s2 *Run) []*Run { s2.Interrupted = true; return []*Run{s1, s2} }, MergeOptions{}, "resume it"},
-		{"seed-mismatch", func(s1, s2 *Run) []*Run { s2.Seed = 8; return []*Run{s1, s2} }, MergeOptions{}, "workload mismatch"},
-		{"quick-mismatch", func(s1, s2 *Run) []*Run { s2.Quick = false; return []*Run{s1, s2} }, MergeOptions{}, "workload mismatch"},
-		{"trials-mismatch", func(s1, s2 *Run) []*Run { s2.Trials = 9; return []*Run{s1, s2} }, MergeOptions{}, "workload mismatch"},
-		{"manifest-mismatch", func(s1, s2 *Run) []*Run { s2.Manifest.GoVersion = "go1.23"; return []*Run{s1, s2} }, MergeOptions{}, "environment mismatch"},
-		{"shapecheck-mismatch", func(s1, s2 *Run) []*Run { s2.Experiments[0].ShapeCheck = "pass"; return []*Run{s1, s2} }, MergeOptions{}, "shape-check results differ"},
-		{"missing-shard", func(s1, s2 *Run) []*Run { return []*Run{s1} }, MergeOptions{}, "have 1 of 2"},
-		{"duplicate-shard", func(s1, s2 *Run) []*Run { return []*Run{s1, s1} }, MergeOptions{}, "appears twice"},
-		{"count-mismatch", func(s1, s2 *Run) []*Run { s2.ShardCount = 3; return []*Run{s1, s2} }, MergeOptions{}, "says"},
-		{"index-out-of-range", func(s1, s2 *Run) []*Run { s2.ShardIndex = 5; return []*Run{s1, s2} }, MergeOptions{}, "shard index"},
-		{"schema-mismatch", func(s1, s2 *Run) []*Run { s2.Schema = 1; return []*Run{s1, s2} }, MergeOptions{}, "schema"},
-		{"multi-non-shard", func(s1, s2 *Run) []*Run {
-			s1.ShardIndex, s1.ShardCount = 0, 0
-			s2.ShardIndex, s2.ShardCount = 0, 0
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "not a shard document"},
-		{"spans-overrun", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].Points[0].Rows = 99
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "overrun"},
-		{"spans-undercover", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].Points[0].Rows = 1
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "not covered"},
-		{"duplicate-point", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].Points[0].Index = 0 // collides with shard 1's point 0
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "duplicate or gap"},
-		{"columns-differ", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].Columns = []string{"x"}
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "columns"},
-		{"experiment-id-differs", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].ID = "E2"
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "is E1"},
-		{"experiment-count-differs", func(s1, s2 *Run) []*Run {
-			s2.Experiments = nil
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "experiments"},
-		{"id-derivation-conflict", func(s1, s2 *Run) []*Run {
-			s2.ID = "zcamp_shard2of2"
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "different run ids"},
-		{"corrupt-trial-hist", func(s1, s2 *Run) []*Run {
-			s2.Experiments[0].TrialHist.Count = 99
-			return []*Run{s1, s2}
-		}, MergeOptions{}, "buckets sum"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s1, s2, _ := shardPair()
-			if _, err := Merge(c.mut(s1, s2), c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("err = %v, want mention of %q", err, c.want)
-			}
-		})
-	}
-	// -force waives exactly the environment check.
-	s1, s2, _ := shardPair()
-	s2.Manifest.GoVersion = "go1.23"
-	if _, err := Merge([]*Run{s1, s2}, MergeOptions{Force: true}); err != nil {
-		t.Fatalf("Force did not waive the manifest check: %v", err)
-	}
-}
-
-// TestCanonicalStripsCampaignProvenance: Points and TrialHist are shard
-// provenance/observation, not payload.
-func TestCanonicalStripsCampaignProvenance(t *testing.T) {
-	s1, _, _ := shardPair()
-	c := s1.Canonical()
-	if c.Experiments[0].Points != nil || c.Experiments[0].TrialHist != nil {
-		t.Fatal("Canonical kept campaign provenance")
-	}
-	if c.ShardIndex != 1 || c.ShardCount != 2 {
-		t.Fatal("Canonical dropped the shard identity (it is deterministic)")
-	}
-	if s1.Experiments[0].Points == nil || s1.Experiments[0].TrialHist == nil {
-		t.Fatal("Canonical mutated its receiver")
-	}
-}
-
 func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_x.json")

@@ -9,7 +9,6 @@ import (
 	"adhocradio/internal/core"
 	"adhocradio/internal/decay"
 	"adhocradio/internal/det"
-	"adhocradio/internal/experiment/campaign"
 	"adhocradio/internal/experiment/pool"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/lowerbound"
@@ -37,14 +36,6 @@ type Config struct {
 	// resulting tables are bit-identical for every Parallel value — the
 	// worker count may only change wall-clock time, never bytes.
 	Parallel int
-	// Campaign, when non-nil, makes the run crash-safe and shardable:
-	// runPoints routes every measurement point through the campaign state,
-	// which skips points owned by other shards, replays points already in
-	// the checkpoint, and durably commits each fresh point before the next
-	// one starts. Points then execute sequentially (trials inside a point
-	// still fan out across Parallel workers); the bit-identity contract
-	// makes that reordering invisible in the output.
-	Campaign *campaign.State
 }
 
 func (c Config) trials(def int) int {
@@ -121,28 +112,6 @@ func ByID(id string) (Experiment, error) {
 // new experiments must follow it.
 func runPoints(ctx context.Context, cfg Config, t *Table, n int,
 	point func(ctx context.Context, i int) ([][]any, error)) error {
-	if c := cfg.Campaign; c != nil {
-		// Campaign mode: points run sequentially (so the recorder's
-		// snapshot-diff below attributes counters to exactly one point) and
-		// every completed point is committed to the checkpoint before the
-		// next one starts. Trials inside a point still use the pool.
-		return c.RunPoints(ctx, t.ID, n,
-			func(ctx context.Context, i int) ([][]string, obs.Counters, error) {
-				before, _ := obs.Default.Snapshot()
-				groups, err := point(ctx, i)
-				if err != nil {
-					return nil, obs.Counters{}, err
-				}
-				after, _ := obs.Default.Snapshot()
-				rows := make([][]string, 0, len(groups))
-				for _, cells := range groups {
-					rows = append(rows, formatCells(cells))
-				}
-				return rows, after.Diff(before), nil
-			},
-			func(rows [][]string) { t.Rows = append(t.Rows, rows...) },
-			func(c obs.Counters) { obs.Default.AddCounters(c) })
-	}
 	groups, err := pool.Collect(ctx, cfg.workers(), n, point)
 	if err != nil {
 		return err

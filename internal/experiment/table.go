@@ -20,16 +20,9 @@ type Table struct {
 	Notes []string
 }
 
-// AddRow appends a row, formatting every cell with formatCells.
+// AddRow appends a row, formatting every cell to the table's string form:
+// %.2f for float64, %v otherwise.
 func (t *Table) AddRow(cells ...any) {
-	t.Rows = append(t.Rows, formatCells(cells))
-}
-
-// formatCells renders one row's cells to the table's string form: %.2f for
-// float64, %v otherwise. The campaign checkpoint stores rows through this
-// same function, so a replayed point's cells are byte-identical to the
-// strings a fresh run would have produced.
-func formatCells(cells []any) []string {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -39,7 +32,7 @@ func formatCells(cells []any) []string {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
-	return row
+	t.Rows = append(t.Rows, row)
 }
 
 // Render writes an aligned text table.

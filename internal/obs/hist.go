@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // HistBuckets is the number of log2 duration buckets: bucket i holds
 // observations with 2^i <= ns < 2^(i+1) (bucket 0 also absorbs 0 and
@@ -12,21 +9,21 @@ import (
 const HistBuckets = 42
 
 // Hist is a log2-bucketed duration histogram with summary accumulators.
-// The zero value is empty and ready to use. All fields are plain integers,
-// so merging two histograms is commutative and associative: aggregated
-// totals are identical for every worker count and completion order, the
+// The zero value is empty and ready to use. All fields are plain integers
+// and Observe only adds to them or takes extremes, so the histogram of a
+// batch is identical for every worker count and completion order — the
 // same schedule-independence contract the experiment pool gives counters.
 type Hist struct {
 	// Count is the number of observations.
-	Count int64 `json:"count"`
+	Count int64
 	// TotalNS is the sum of all observed durations.
-	TotalNS int64 `json:"total_ns"`
+	TotalNS int64
 	// MinNS and MaxNS are the extreme observations (Min is meaningless
 	// while Count == 0).
-	MinNS int64 `json:"min_ns"`
-	MaxNS int64 `json:"max_ns"`
+	MinNS int64
+	MaxNS int64
 	// Buckets[i] counts observations with 2^i <= ns < 2^(i+1).
-	Buckets [HistBuckets]int64 `json:"buckets"`
+	Buckets [HistBuckets]int64
 }
 
 // bucketOf maps a duration to its bucket index.
@@ -52,64 +49,6 @@ func (h *Hist) Observe(ns int64) {
 	h.Count++
 	h.TotalNS += ns
 	h.Buckets[bucketOf(ns)]++
-}
-
-// Validate checks the histogram's internal consistency: non-negative
-// counts, bucket totals that sum to Count, and ordered extremes when
-// non-empty. A histogram decoded from an external document (a shard's
-// BENCH_*.json, say) can violate any of these through truncation or
-// corruption, and merging such a histogram would silently poison every
-// downstream quantile — hence MergeChecked.
-func (h Hist) Validate() error {
-	if h.Count < 0 {
-		return fmt.Errorf("obs: hist: negative count %d", h.Count)
-	}
-	var sum int64
-	for i, n := range h.Buckets {
-		if n < 0 {
-			return fmt.Errorf("obs: hist: negative bucket %d (%d)", i, n)
-		}
-		sum += n
-	}
-	if sum != h.Count {
-		return fmt.Errorf("obs: hist: buckets sum to %d but count is %d", sum, h.Count)
-	}
-	if h.Count > 0 && h.MinNS > h.MaxNS {
-		return fmt.Errorf("obs: hist: min %d > max %d", h.MinNS, h.MaxNS)
-	}
-	return nil
-}
-
-// MergeChecked is Merge for histograms of external provenance: both sides
-// are validated first and h is left untouched on error, so one malformed
-// shard document cannot corrupt an aggregation that spans many.
-func (h *Hist) MergeChecked(o Hist) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	h.Merge(o)
-	return nil
-}
-
-// Merge accumulates o into h.
-func (h *Hist) Merge(o Hist) {
-	if o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.MinNS < h.MinNS {
-		h.MinNS = o.MinNS
-	}
-	if o.MaxNS > h.MaxNS {
-		h.MaxNS = o.MaxNS
-	}
-	h.Count += o.Count
-	h.TotalNS += o.TotalNS
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // MeanNS returns the mean observed duration (0 when empty).

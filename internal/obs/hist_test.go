@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -41,38 +40,6 @@ func TestHistObserveSummaries(t *testing.T) {
 	// 100 and 200, 300 land in log2 buckets 6 and 7, 8.
 	if h.Buckets[6] != 1 || h.Buckets[7] != 1 || h.Buckets[8] != 1 {
 		t.Fatalf("bucket placement wrong: %v", h.Buckets)
-	}
-}
-
-func TestHistMergeIsOrderIndependent(t *testing.T) {
-	var a, b Hist
-	for _, ns := range []int64{5, 50, 500} {
-		a.Observe(ns)
-	}
-	for _, ns := range []int64{1, 5000} {
-		b.Observe(ns)
-	}
-	ab := a
-	ab.Merge(b)
-	ba := b
-	ba.Merge(a)
-	if ab != ba {
-		t.Fatalf("merge not commutative:\nab %+v\nba %+v", ab, ba)
-	}
-	if ab.Count != 5 || ab.MinNS != 1 || ab.MaxNS != 5000 || ab.TotalNS != 5556 {
-		t.Fatalf("merged summaries wrong: %+v", ab)
-	}
-	// Merging an empty histogram changes nothing (including Min).
-	before := ab
-	ab.Merge(Hist{})
-	if ab != before {
-		t.Fatalf("merging empty changed the histogram: %+v vs %+v", ab, before)
-	}
-	// Merging into an empty histogram copies it.
-	var empty Hist
-	empty.Merge(a)
-	if empty != a {
-		t.Fatalf("merge into empty = %+v, want %+v", empty, a)
 	}
 }
 
@@ -126,62 +93,5 @@ func TestHistQuantileEdgeCases(t *testing.T) {
 	}
 	if got := h.ApproxQuantileNS(-3); got != h.ApproxQuantileNS(0) {
 		t.Errorf("q=-3 (%d) != q=0 (%d)", got, h.ApproxQuantileNS(0))
-	}
-}
-
-// TestHistValidateAndMergeChecked: histograms of external provenance (a
-// decoded shard document) must be rejected, not merged into garbage.
-func TestHistValidateAndMergeChecked(t *testing.T) {
-	var good Hist
-	good.Observe(100)
-	good.Observe(4000)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid histogram rejected: %v", err)
-	}
-	if err := (Hist{}).Validate(); err != nil {
-		t.Fatalf("empty histogram rejected: %v", err)
-	}
-
-	cases := []struct {
-		name string
-		mut  func(*Hist)
-		want string
-	}{
-		{"count-bucket-mismatch", func(h *Hist) { h.Count += 5 }, "sum"},
-		{"negative-count", func(h *Hist) { h.Count = -1; h.Buckets = [HistBuckets]int64{} }, "negative count"},
-		{"negative-bucket", func(h *Hist) { h.Buckets[3] = -2; h.Buckets[4] = 2 }, "negative bucket"},
-		{"min-above-max", func(h *Hist) { h.MinNS = h.MaxNS + 1 }, "min"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			bad := good
-			c.mut(&bad)
-			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("Validate() = %v, want mention of %q", err, c.want)
-			}
-			dst := good
-			if err := dst.MergeChecked(bad); err == nil {
-				t.Fatal("MergeChecked accepted an invalid histogram")
-			}
-			if dst != good {
-				t.Fatal("failed MergeChecked modified the destination")
-			}
-		})
-	}
-
-	// The checked merge agrees with the unchecked one on valid input.
-	a, b := good, good
-	var plain Hist
-	plain.Merge(a)
-	plain.Merge(b)
-	var checked Hist
-	if err := checked.MergeChecked(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := checked.MergeChecked(b); err != nil {
-		t.Fatal(err)
-	}
-	if checked != plain {
-		t.Fatalf("MergeChecked result differs from Merge:\n%+v\n%+v", checked, plain)
 	}
 }

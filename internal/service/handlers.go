@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
-	"adhocradio/internal/experiment"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/obs"
 )
@@ -61,13 +59,9 @@ type SimulateResponse struct {
 	Counters obs.Counters `json:"counters"`
 }
 
-// ExperimentRequest is the (optional) body of POST /v1/experiments/{id}.
-type ExperimentRequest struct {
-	Seed     uint64 `json:"seed"`
-	Trials   int    `json:"trials"`
-	Quick    bool   `json:"quick"`
-	Parallel int    `json:"parallel"`
-}
+// maxBodyBytes bounds a POST /v1/simulate body; a request spec is a few
+// hundred bytes, so anything larger is answered 413 before it is decoded.
+const maxBodyBytes = 1 << 20
 
 // errorResponse is the JSON body of every non-2xx answer.
 type errorResponse struct {
@@ -78,8 +72,6 @@ type errorResponse struct {
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/experiments/{id}", s.handleExperiment)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -109,14 +101,19 @@ func (s *Service) timeoutFor(ms int) time.Duration {
 	return d
 }
 
-// handleSimulate is the synchronous endpoint: admit, wait for the worker,
-// answer with the result. Backpressure (queue full or draining) is 503 +
-// Retry-After; a deadline that expires first is 504 (the worker abandons
-// the run at the next step boundary via the job context).
+// handleSimulate admits a job, waits for the worker and answers with the
+// result. A body over maxBodyBytes is 413; backpressure (queue full or
+// draining) is 503 + Retry-After; a deadline that expires first is 504 (the
+// worker abandons the run at the next step boundary via the job context).
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	spec, err := req.Topology.Normalize()
@@ -133,11 +130,13 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// The worker never cancels ctx: if it did so before closing done, the
+	// select below could see the cancellation first and answer 504 for a
+	// job that completed.
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
+	defer cancel()
 	j := &job{
-		kind:            KindSimulate,
 		ctx:             ctx,
-		cancel:          cancel,
 		spec:            spec,
 		specKey:         key,
 		protocol:        req.Protocol,
@@ -146,10 +145,7 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		includeInformed: req.IncludeInformedAt,
 		done:            make(chan struct{}),
 	}
-	s.jobs.add(j)
 	if err := s.enqueue(j); err != nil {
-		cancel()
-		j.finish(err)
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -164,78 +160,20 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j.mu.Lock()
-	resp, jobErr, hit := j.resp, j.err, j.cacheHit
-	j.mu.Unlock()
-	if jobErr != nil {
+	if j.err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(jobErr, context.DeadlineExceeded) || errors.Is(jobErr, context.Canceled) {
+		if errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled) {
 			status = http.StatusGatewayTimeout
 		}
-		writeError(w, status, jobErr)
+		writeError(w, status, j.err)
 		return
 	}
-	if hit {
+	if j.cacheHit {
 		w.Header().Set("X-Radiosd-Cache", "hit")
 	} else {
 		w.Header().Set("X-Radiosd-Cache", "miss")
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleExperiment is the asynchronous endpoint: validate, accept with 202
-// and a job ID, run in the background; GET /v1/jobs/{id} retrieves status
-// and (once done) the rendered table.
-func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := experiment.ByID(id); err != nil {
-		if errors.Is(err, experiment.ErrUnknownExperiment) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	// The body is optional: every ExperimentRequest field has a default.
-	var req ExperimentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Experiments outlive their submitting request: the job context is
-	// detached from r.Context() and cancelled only when the job finishes.
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		kind:   KindExperiment,
-		ctx:    ctx,
-		cancel: cancel,
-		expID:  id,
-		expCfg: experiment.Config{
-			Seed:     req.Seed,
-			Trials:   req.Trials,
-			Quick:    req.Quick,
-			Parallel: req.Parallel,
-		},
-		done: make(chan struct{}),
-	}
-	s.jobs.add(j)
-	if err := s.enqueue(j); err != nil {
-		cancel()
-		j.finish(err)
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// handleJob serves GET /v1/jobs/{id}.
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: unknown job id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
+	writeJSON(w, http.StatusOK, j.resp)
 }
 
 // handleHealthz reports liveness; "draining" once graceful shutdown began.

@@ -21,9 +21,9 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +31,7 @@ import (
 	"adhocradio/internal/core"
 	"adhocradio/internal/decay"
 	"adhocradio/internal/det"
-	"adhocradio/internal/experiment"
+	"adhocradio/internal/graph"
 	"adhocradio/internal/obs"
 	"adhocradio/internal/radio"
 )
@@ -82,12 +82,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// job is one accepted simulation. The handler writes the inputs before it
+// enqueues the job; the worker writes the outputs and then closes done, and
+// the handler reads them only after done is closed, so no lock is needed.
+type job struct {
+	ctx             context.Context // the request's deadline
+	spec            graph.Spec      // normalized
+	specKey         string          // spec.Canonical()
+	protocol        string
+	seed            uint64
+	maxSteps        int
+	includeInformed bool
+
+	done chan struct{}
+
+	resp     *SimulateResponse
+	cacheHit bool
+	err      error
+}
+
 // Service is the long-running simulation service. Create with New, launch
 // workers with Start, shut down with Drain.
 type Service struct {
 	cfg   Config
 	cache *graphCache
-	jobs  *jobStore
 
 	mu        sync.RWMutex // guards accepting and the queue's open/closed state
 	accepting bool
@@ -95,6 +113,7 @@ type Service struct {
 
 	wg sync.WaitGroup
 
+	accepted  atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
 	rejected  atomic.Int64
@@ -112,7 +131,6 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:   cfg,
 		cache: newGraphCache(cfg.CacheCap),
-		jobs:  newJobStore(),
 		queue: make(chan *job, cfg.QueueCap),
 	}
 }
@@ -139,6 +157,7 @@ func (s *Service) enqueue(j *job) error {
 	}
 	select {
 	case s.queue <- j:
+		s.accepted.Add(1)
 		return nil
 	default:
 		s.rejected.Add(1)
@@ -157,22 +176,12 @@ func (s *Service) worker() {
 		if s.testHookJobStart != nil {
 			s.testHookJobStart(j)
 		}
-		j.setStatus(StatusRunning)
-		var err error
-		switch j.kind {
-		case KindSimulate:
-			err = s.runSimulate(j, runner, &res)
-		case KindExperiment:
-			err = s.runExperiment(j)
-		default:
-			err = fmt.Errorf("service: unknown job kind %q", j.kind)
-		}
-		if err != nil {
+		if j.err = s.runSimulate(j, runner, &res); j.err != nil {
 			s.failed.Add(1)
 		} else {
 			s.completed.Add(1)
 		}
-		j.finish(err)
+		close(j.done)
 	}
 }
 
@@ -186,9 +195,7 @@ func (s *Service) runSimulate(j *job, runner *radio.Runner, res *radio.Result) e
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
 	j.cacheHit = hit
-	j.mu.Unlock()
 	proto, err := protocolFor(j.protocol)
 	if err != nil {
 		return err
@@ -220,34 +227,13 @@ func (s *Service) runSimulate(j *job, runner *radio.Runner, res *radio.Result) e
 	if j.includeInformed {
 		resp.Result.InformedAt = append([]int(nil), res.InformedAt...)
 	}
-	j.mu.Lock()
 	j.resp = resp
-	j.mu.Unlock()
 	return nil
 }
 
-// runExperiment executes one registered experiment and renders its table.
-func (s *Service) runExperiment(j *job) error {
-	e, err := experiment.ByID(j.expID)
-	if err != nil {
-		return err
-	}
-	tab, err := e.Run(j.ctx, j.expCfg)
-	if err != nil {
-		return err
-	}
-	var sb strings.Builder
-	if err := tab.Render(&sb); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.table = sb.String()
-	j.mu.Unlock()
-	return nil
-}
-
-// DrainReport summarizes a graceful shutdown: every accepted job reached a
-// terminal state (Active == 0), plus the final observability snapshot.
+// DrainReport summarizes a graceful shutdown: every accepted job completed
+// or failed (Active == 0), plus the final observability snapshot. Rejected
+// requests were never accepted and count in neither.
 type DrainReport struct {
 	Completed int64        `json:"completed"`
 	Failed    int64        `json:"failed"`
@@ -269,13 +255,13 @@ func (s *Service) Drain() DrainReport {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	done, failed, active := s.jobs.counts()
+	completed, failed := s.completed.Load(), s.failed.Load()
 	c, _ := obs.Default.Snapshot()
 	return DrainReport{
-		Completed: int64(done),
-		Failed:    int64(failed),
+		Completed: completed,
+		Failed:    failed,
 		Rejected:  s.rejected.Load(),
-		Active:    active,
+		Active:    int(s.accepted.Load() - completed - failed),
 		CacheHits: s.cache.hits.Load(),
 		CacheMiss: s.cache.misses.Load(),
 		Counters:  c,
