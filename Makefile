@@ -130,11 +130,14 @@ cover:
 # second run mutates radiolint's suppression parser, which faces arbitrary
 # source text and must never mis-anchor a suppression or crash. The third
 # mutates the topology specs radiosd decodes from requests: Normalize must
-# never panic, must be idempotent, and must agree with Canonical.
+# never panic, must be idempotent, and must agree with Canonical. The fourth
+# mutates arc lists fed to graph.Builder and checks every built row against
+# a naive model, duplicates, self-loops and out-of-range endpoints included.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunVsReference -fuzztime=10s ./internal/radio
 	$(GO) test -run=NONE -fuzz=FuzzParseSuppressions -fuzztime=10s ./internal/analysis
 	$(GO) test -run=NONE -fuzz=FuzzSpecNormalize -fuzztime=10s ./internal/graph
+	$(GO) test -run=NONE -fuzz=FuzzBuilder -fuzztime=10s ./internal/graph
 
 # End-to-end gate for the radiosd serving layer, run under the race
 # detector: a real daemon child process, concurrent clients mixing cached

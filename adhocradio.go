@@ -80,7 +80,8 @@ type (
 	// Runner is a reusable simulation engine: it owns all per-run scratch,
 	// so a trial loop that reuses one allocates nothing in steady state.
 	Runner = radio.Runner
-	// CSR is a graph's compiled flat-array adjacency (see Graph.Compile).
+	// CSR is a graph's flat-array adjacency, laid out once when the graph
+	// is built (see Graph.Compile).
 	CSR = graph.CSR
 	// DeterministicProtocol marks protocols the Section 3 adversary can
 	// attack.

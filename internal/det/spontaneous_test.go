@@ -69,7 +69,7 @@ func TestSpontaneousNeighborDiscoveryExact(t *testing.T) {
 		}
 		want := map[int]bool{}
 		for _, u := range g.Out(v) {
-			want[u] = true
+			want[int(u)] = true
 		}
 		if len(prog.neighbors) != len(want) {
 			t.Fatalf("node %d discovered %v, want %v", v, prog.neighbors, g.Out(v))

@@ -742,7 +742,7 @@ func E12(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		benignD := graph.New(benignU.N(), false)
+		benignD := graph.NewBuilder(benignU.N(), false)
 		for li := 0; li+1 < len(layers); li++ {
 			for _, u := range layers[li] {
 				for _, v := range layers[li+1] {
@@ -750,7 +750,7 @@ func E12(ctx context.Context, cfg Config) (*Table, error) {
 				}
 			}
 		}
-		bres, err := simulate(benignD, victim, radio.Config{}, radio.Options{})
+		bres, err := simulate(benignD.MustBuild(), victim, radio.Config{}, radio.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E12 benign n=%d: %w", n, err)
 		}

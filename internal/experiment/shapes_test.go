@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -47,35 +46,5 @@ func TestShapeCheckRejectsBadTables(t *testing.T) {
 	err := checkE1(tab)
 	if err == nil || !strings.Contains(err.Error(), "want > 1") {
 		t.Fatalf("bad E1 accepted: %v", err)
-	}
-}
-
-// TestFullScaleShapes runs every experiment at FULL scale and asserts the
-// paper's qualitative claims hold — the executable form of EXPERIMENTS.md.
-// Takes about a minute; skipped under -short.
-func TestFullScaleShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale experiments take ~1 minute")
-	}
-	checks := ShapeChecks()
-	// Parallel workers cut the wall time on multi-core runners; by the
-	// engine's determinism invariant the tables are identical either way.
-	cfg := Config{Seed: 1, Parallel: 8}
-	for _, e := range Registry() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			for i, row := range tab.Rows {
-				if len(row) != len(tab.Columns) {
-					t.Fatalf("%s: row %d has %d cells for %d columns", e.ID, i, len(row), len(tab.Columns))
-				}
-			}
-			if err := checks[e.ID](tab); err != nil {
-				t.Errorf("shape violated: %v", err)
-			}
-		})
 	}
 }

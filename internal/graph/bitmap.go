@@ -10,12 +10,12 @@ import (
 // uint64 words per node, bit v of row u set iff the arc u->v exists. It is
 // the layout the simulator's bit-parallel tally kernel streams — one row OR
 // per transmitter processes 64 receivers per ALU op — and is only worth its
-// n²/8 bits of memory on dense graphs (see Dense), where it costs at most a
-// small constant times the CSR it is built from.
+// n²/8 bits of memory on dense graphs (see BitmapDense), where it costs at
+// most a small constant times the CSR it is built from.
 //
-// Like the CSR, a Bitmap is immutable once built: Graph.CompileBitmap caches
-// it on the graph and every mutation invalidates the cache, so a compiled
-// view never goes stale. Callers must not modify the returned rows.
+// Like the CSR, a Bitmap is immutable once built: Builder.Build lays one
+// out alongside every dense graph. Callers must not modify the returned
+// rows.
 type Bitmap struct {
 	// NumNodes is the node count (same as Graph.N).
 	NumNodes int
@@ -41,23 +41,16 @@ func BitmapDense(n, m int) bool {
 	return n > 0 && int64(m)*32 >= int64(n)*int64(n)
 }
 
-// CompileBitmap returns the bitmap-adjacency form of the graph, building it
-// from the compiled CSR on first use and caching it on the graph. The cache
-// is invalidated by every mutation (AddEdge, removeEdge, SortAdjacency),
-// exactly like the CSR cache, and shares its publication contract: racing
-// compilers of a frozen graph build identical content, so whichever
-// atomic store wins is indistinguishable.
-//
-// Callers gate on BitmapDense (or their own density policy) before
-// compiling: the bitmap always costs NumNodes²/8 bytes regardless of the
-// arc count.
+// CompileBitmap returns the bitmap-adjacency form of the graph. On a graph
+// for which BitmapDense holds it is the bitmap built with the graph, shared
+// by every caller. Callers gate on BitmapDense (or their own density
+// policy): on a sparser graph CompileBitmap builds a fresh bitmap on every
+// call, and it always costs NumNodes²/8 bytes regardless of the arc count.
 func (g *Graph) CompileBitmap() *Bitmap {
-	if b := g.bmp.Load(); b != nil {
-		return b
+	if g.bmp != nil {
+		return g.bmp
 	}
-	b := buildBitmap(g.Compile())
-	g.bmp.Store(b)
-	return b
+	return buildBitmap(&g.csr)
 }
 
 func buildBitmap(c *CSR) *Bitmap {
@@ -65,9 +58,9 @@ func buildBitmap(c *CSR) *Bitmap {
 	words := bitset.Words(n)
 	if n > 0 && int64(n)*int64(words) > math.MaxInt32 {
 		// >2^31 words is a >16 GiB bitmap; the density gate every caller
-		// applies means the CSR's own int32 arc guard trips long before a
-		// graph this large could be compiled here.
-		panic("graph: too large for bitmap adjacency") //radiolint:ignore nopanic unreachable behind the CSR int32 guard at any bitmap-worthy density; guards row index arithmetic
+		// applies means Build's own int32 arc limit trips long before a
+		// graph this large could be laid out here.
+		panic("graph: too large for bitmap adjacency") //radiolint:ignore nopanic unreachable behind Build's int32 limit at any bitmap-worthy density; guards row index arithmetic
 	}
 	b := &Bitmap{
 		NumNodes:    n,

@@ -27,7 +27,7 @@ func checkBitmapMirrors(t *testing.T, g *Graph) {
 			t.Fatalf("node %d: row popcount %d, want out-degree %d", u, got, want)
 		}
 		for _, v := range g.Out(u) {
-			if !bitset.Test(row, v) {
+			if !bitset.Test(row, int(v)) {
 				t.Fatalf("node %d: bit %d clear for arc (%d,%d)", u, v, u, v)
 			}
 		}
@@ -48,8 +48,8 @@ func TestCompileBitmapMirrorsSliceAdjacency(t *testing.T) {
 		{"clique128", Clique(128)}, // exactly two words per row
 		{"gnp", GNPConnected(70, 0.2, src)},
 		{"tree", RandomTree(33, src)},
-		{"empty", New(5, true)},
-		{"single", New(1, false)},
+		{"empty", NewBuilder(5, true).MustBuild()},
+		{"single", NewBuilder(1, false).MustBuild()},
 	}
 	if g, err := DirectedLayered(40, 5, 0.3, src); err == nil {
 		graphs = append(graphs, struct {
@@ -62,57 +62,40 @@ func TestCompileBitmapMirrorsSliceAdjacency(t *testing.T) {
 	}
 }
 
-func TestCompileBitmapCachesUntilMutation(t *testing.T) {
-	g := Path(6)
-	b1 := g.CompileBitmap()
-	if b2 := g.CompileBitmap(); b2 != b1 {
-		t.Fatal("second CompileBitmap did not return the cached bitmap")
-	}
-	g.MustAddEdge(0, 5)
-	b3 := g.CompileBitmap()
-	if b3 == b1 {
-		t.Fatal("AddEdge did not invalidate the bitmap cache")
-	}
-	checkBitmapMirrors(t, g)
-
-	g.SortAdjacency()
-	if g.CompileBitmap() == b3 {
-		t.Fatal("SortAdjacency did not invalidate the bitmap cache")
-	}
-	checkBitmapMirrors(t, g)
-}
-
-func TestCompileBitmapInvalidatedByRemoveEdge(t *testing.T) {
-	g := Clique(5)
-	b1 := g.CompileBitmap()
-	g.removeEdge(1, 2)
-	b2 := g.CompileBitmap()
-	if b2 == b1 {
-		t.Fatal("removeEdge did not invalidate the bitmap cache")
-	}
-	if bitset.Test(b2.OutRow(1), 2) || bitset.Test(b2.OutRow(2), 1) {
-		t.Fatal("removed edge still set in rebuilt bitmap")
-	}
-	checkBitmapMirrors(t, g)
-}
-
 func TestCompileBitmapConcurrentReaders(t *testing.T) {
-	// Frozen graph, many concurrent compilers: must race-cleanly converge on
-	// a consistent view (run under -race in the Makefile's race target).
+	// Frozen dense graph, many concurrent readers: all must get the one
+	// bitmap laid out at build time (run under -race in the Makefile's race
+	// target).
 	src := rng.New(13)
 	g := GNPConnected(64, 0.2, src)
+	if !BitmapDense(g.N(), g.Edges()) {
+		t.Fatalf("test graph not dense: %s", g.Stats())
+	}
 	done := make(chan *Bitmap, 8)
 	for i := 0; i < 8; i++ {
 		go func() { done <- g.CompileBitmap() }()
 	}
 	first := <-done
 	for i := 1; i < 8; i++ {
-		b := <-done
-		if b.NumNodes != first.NumNodes || b.WordsPerRow != first.WordsPerRow {
-			t.Fatal("concurrent compilations disagree")
+		if b := <-done; b != first {
+			t.Fatal("concurrent readers got different bitmaps")
 		}
 	}
 	checkBitmapMirrors(t, g)
+}
+
+func TestBitmapBuiltWithDenseGraphs(t *testing.T) {
+	dense := Clique(8)
+	if dense.bmp == nil || dense.CompileBitmap() != dense.bmp {
+		t.Fatal("dense graph not built with its bitmap rows")
+	}
+	sparse := Path(100)
+	if sparse.bmp != nil {
+		t.Fatal("sparse graph built with bitmap rows")
+	}
+	if sparse.CompileBitmap() == sparse.CompileBitmap() {
+		t.Fatal("sparse graph's on-demand bitmap was cached on the graph")
+	}
 }
 
 func TestBitmapDense(t *testing.T) {

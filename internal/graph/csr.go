@@ -1,16 +1,15 @@
 package graph
 
-import "math"
-
-// CSR is the compressed-sparse-row form of a Graph: per-direction flat
-// adjacency arrays plus offset arrays, int32-typed so the simulator's hot
-// loop walks contiguous, cache-dense memory instead of chasing [][]int
-// spines. OutAdj[OutOff[v]:OutOff[v+1]] lists v's out-neighbors in the same
-// order as Graph.Out(v); the In pair mirrors Graph.In.
+// CSR is the compressed-sparse-row form of a Graph and its only adjacency
+// store: per-direction flat adjacency arrays plus offset arrays, int32-typed
+// so the simulator's hot loop walks contiguous, cache-dense memory.
+// OutAdj[OutOff[v]:OutOff[v+1]] lists v's out-neighbors, which is exactly
+// Graph.Out(v); the In pair likewise backs Graph.In. An undirected graph's
+// in-rows equal its out-rows, so its In pair shares the Out arrays.
 //
-// A CSR is immutable: it is built once by Graph.Compile and shared by every
-// reader (parallel trial workers hold the same instance). Callers must not
-// modify any field.
+// A CSR is immutable: Builder.Build lays it out once and every reader
+// shares it (parallel trial workers hold the same instance). Callers must
+// not modify any field.
 type CSR struct {
 	// NumNodes is the node count (same as Graph.N).
 	NumNodes int
@@ -20,17 +19,21 @@ type CSR struct {
 	// InOff/InAdj are the transposed adjacency (in-neighbors).
 	InOff []int32
 	InAdj []int32
-	// MaxOutDeg and MaxInDeg are the largest per-node degrees, used to
-	// pre-size simulator scratch buffers.
-	MaxOutDeg int
-	MaxInDeg  int
 }
 
-// OutSpan returns v's out-neighbors as a slice of the flat array.
-func (c *CSR) OutSpan(v int) []int32 { return c.OutAdj[c.OutOff[v]:c.OutOff[v+1]] }
+// OutSpan returns v's out-neighbors as a slice of the flat array, capped
+// so that appending to it cannot overwrite the next row.
+func (c *CSR) OutSpan(v int) []int32 {
+	lo, hi := c.OutOff[v], c.OutOff[v+1]
+	return c.OutAdj[lo:hi:hi]
+}
 
-// InSpan returns v's in-neighbors as a slice of the flat array.
-func (c *CSR) InSpan(v int) []int32 { return c.InAdj[c.InOff[v]:c.InOff[v+1]] }
+// InSpan returns v's in-neighbors as a slice of the flat array, capped
+// like OutSpan.
+func (c *CSR) InSpan(v int) []int32 {
+	lo, hi := c.InOff[v], c.InOff[v+1]
+	return c.InAdj[lo:hi:hi]
+}
 
 // OutDegree returns |Out(v)| without touching the adjacency array.
 func (c *CSR) OutDegree(v int) int { return int(c.OutOff[v+1] - c.OutOff[v]) }
@@ -38,64 +41,7 @@ func (c *CSR) OutDegree(v int) int { return int(c.OutOff[v+1] - c.OutOff[v]) }
 // Arcs returns the number of directed arcs.
 func (c *CSR) Arcs() int { return len(c.OutAdj) }
 
-// Compile returns the CSR form of the graph, building it on first use and
-// caching it on the graph. The cache is invalidated by every mutation
-// (AddEdge, removeEdge, SortAdjacency), so a compiled view never goes stale.
-//
-// Compile is safe to call from concurrent readers of a frozen graph — the
-// usual experiment shape, where one goroutine generates a topology and many
-// trial workers then simulate on it. Racing compilers may each build the
-// view once, but they build identical content from the same frozen
-// adjacency, so whichever publication wins is indistinguishable. Mutating
-// the graph while other goroutines simulate on it is a caller bug, exactly
-// as it already was for the slice API.
-func (g *Graph) Compile() *CSR {
-	if c := g.csr.Load(); c != nil {
-		return c
-	}
-	c := buildCSR(g)
-	g.csr.Store(c)
-	return c
-}
-
-func buildCSR(g *Graph) *CSR {
-	n := g.n
-	m := 0
-	for v := 0; v < n; v++ {
-		m += len(g.out[v])
-	}
-	if int64(m) > math.MaxInt32 || int64(n) >= math.MaxInt32 {
-		// >2^31 arcs means hundreds of gigabytes of adjacency; long before
-		// that the trial engine's memory budget is gone. No caller can reach
-		// this without first failing to allocate the slice graph itself.
-		panic("graph: too large for int32 CSR compilation") //radiolint:ignore nopanic unreachable at any allocatable graph size; guards int32 index arithmetic
-	}
-	c := &CSR{
-		NumNodes: n,
-		OutOff:   make([]int32, n+1),
-		OutAdj:   make([]int32, 0, m),
-		InOff:    make([]int32, n+1),
-		InAdj:    make([]int32, 0, m),
-	}
-	for v := 0; v < n; v++ {
-		c.OutOff[v] = int32(len(c.OutAdj))
-		for _, w := range g.out[v] {
-			c.OutAdj = append(c.OutAdj, int32(w))
-		}
-		if d := len(g.out[v]); d > c.MaxOutDeg {
-			c.MaxOutDeg = d
-		}
-	}
-	c.OutOff[n] = int32(len(c.OutAdj))
-	for v := 0; v < n; v++ {
-		c.InOff[v] = int32(len(c.InAdj))
-		for _, w := range g.in[v] {
-			c.InAdj = append(c.InAdj, int32(w))
-		}
-		if d := len(g.in[v]); d > c.MaxInDeg {
-			c.MaxInDeg = d
-		}
-	}
-	c.InOff[n] = int32(len(c.InAdj))
-	return c
-}
+// Compile returns the graph's CSR. It was laid out when the graph was
+// built, so Compile does no work and any number of goroutines may call it
+// and share the result.
+func (g *Graph) Compile() *CSR { return &g.csr }

@@ -6,48 +6,33 @@ import (
 	"adhocradio/internal/rng"
 )
 
-// checkCSRMirrors asserts the compiled view agrees entry-for-entry with the
-// slice adjacency, in both directions and in the same order.
+// checkCSRMirrors asserts the in-rows are exactly the transpose of the
+// out-rows and that an undirected graph stores its arcs once.
 func checkCSRMirrors(t *testing.T, g *Graph) {
 	t.Helper()
 	c := g.Compile()
-	if c.NumNodes != g.N() {
-		t.Fatalf("NumNodes = %d, want %d", c.NumNodes, g.N())
+	if c.NumNodes != g.N() || c.Arcs() != g.Edges() || len(c.InAdj) != c.Arcs() {
+		t.Fatalf("CSR has %d nodes, %d arcs, %d in-arcs; graph %d nodes, %d arcs",
+			c.NumNodes, c.Arcs(), len(c.InAdj), g.N(), g.Edges())
 	}
-	if c.Arcs() != g.Edges() {
-		t.Fatalf("Arcs = %d, want %d", c.Arcs(), g.Edges())
-	}
-	maxOut, maxIn := 0, 0
+	in := make(map[[2]int32]bool)
 	for v := 0; v < g.N(); v++ {
-		out := g.Out(v)
-		span := c.OutSpan(v)
-		if len(span) != len(out) || c.OutDegree(v) != len(out) {
-			t.Fatalf("node %d: out span %d, want %d", v, len(span), len(out))
-		}
-		for i, w := range out {
-			if int(span[i]) != w {
-				t.Fatalf("node %d: OutSpan[%d] = %d, want %d", v, i, span[i], w)
-			}
-		}
-		in := g.In(v)
-		ispan := c.InSpan(v)
-		if len(ispan) != len(in) {
-			t.Fatalf("node %d: in span %d, want %d", v, len(ispan), len(in))
-		}
-		for i, w := range in {
-			if int(ispan[i]) != w {
-				t.Fatalf("node %d: InSpan[%d] = %d, want %d", v, i, ispan[i], w)
-			}
-		}
-		if len(out) > maxOut {
-			maxOut = len(out)
-		}
-		if len(in) > maxIn {
-			maxIn = len(in)
+		for _, u := range g.In(v) {
+			in[[2]int32{u, int32(v)}] = true
 		}
 	}
-	if c.MaxOutDeg != maxOut || c.MaxInDeg != maxIn {
-		t.Fatalf("MaxOutDeg/MaxInDeg = %d/%d, want %d/%d", c.MaxOutDeg, c.MaxInDeg, maxOut, maxIn)
+	if len(in) != c.Arcs() {
+		t.Fatalf("in-rows hold %d distinct arcs of %d", len(in), c.Arcs())
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, w := range g.Out(u) {
+			if !in[[2]int32{int32(u), w}] {
+				t.Fatalf("arc (%d,%d) missing from the in-rows", u, w)
+			}
+		}
+	}
+	if g.Undirected() && c.Arcs() > 0 && &c.InAdj[0] != &c.OutAdj[0] {
+		t.Fatal("undirected graph stores its in-rows separately from its out-rows")
 	}
 }
 
@@ -62,8 +47,8 @@ func TestCompileMirrorsSliceAdjacency(t *testing.T) {
 		{"clique", Clique(8)},
 		{"gnp", GNPConnected(40, 0.15, src)},
 		{"tree", RandomTree(33, src)},
-		{"empty", New(5, true)},
-		{"single", New(1, false)},
+		{"empty", NewBuilder(5, true).MustBuild()},
+		{"single", NewBuilder(1, false).MustBuild()},
 	}
 	if g, err := DirectedLayered(40, 5, 0.3, src); err == nil {
 		graphs = append(graphs, struct {
@@ -76,39 +61,9 @@ func TestCompileMirrorsSliceAdjacency(t *testing.T) {
 	}
 }
 
-func TestCompileCachesUntilMutation(t *testing.T) {
-	g := Path(6)
-	c1 := g.Compile()
-	if c2 := g.Compile(); c2 != c1 {
-		t.Fatal("second Compile did not return the cached CSR")
-	}
-	g.MustAddEdge(0, 5)
-	c3 := g.Compile()
-	if c3 == c1 {
-		t.Fatal("AddEdge did not invalidate the CSR cache")
-	}
-	checkCSRMirrors(t, g)
-
-	g.SortAdjacency()
-	if g.Compile() == c3 {
-		t.Fatal("SortAdjacency did not invalidate the CSR cache")
-	}
-	checkCSRMirrors(t, g)
-}
-
-func TestCompileInvalidatedByRemoveEdge(t *testing.T) {
-	g := Clique(5)
-	c1 := g.Compile()
-	g.removeEdge(1, 2)
-	if g.Compile() == c1 {
-		t.Fatal("removeEdge did not invalidate the CSR cache")
-	}
-	checkCSRMirrors(t, g)
-}
-
 func TestCompileConcurrentReaders(t *testing.T) {
-	// Frozen graph, many concurrent compilers: must race-cleanly converge on
-	// a consistent view (run under -race in the Makefile's race target).
+	// Frozen graph, many concurrent readers: all must get the one CSR laid
+	// out at build time (run under -race in the Makefile's race target).
 	src := rng.New(11)
 	g := GNPConnected(64, 0.1, src)
 	done := make(chan *CSR, 8)
@@ -117,9 +72,8 @@ func TestCompileConcurrentReaders(t *testing.T) {
 	}
 	first := <-done
 	for i := 1; i < 8; i++ {
-		c := <-done
-		if c.Arcs() != first.Arcs() || c.NumNodes != first.NumNodes {
-			t.Fatal("concurrent compilations disagree")
+		if c := <-done; c != first {
+			t.Fatal("concurrent readers got different CSRs")
 		}
 	}
 	checkCSRMirrors(t, g)

@@ -9,32 +9,32 @@ import (
 
 // Path returns the undirected path 0-1-2-...-n-1 (radius n-1).
 func Path(n int) *Graph {
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; v+1 < n; v++ {
-		g.MustAddEdge(v, v+1)
+		b.MustAddEdge(v, v+1)
 	}
-	return g
+	return b.MustBuild()
 }
 
 // Star returns the undirected star with the source at the center and n-1
 // leaves (radius 1).
 func Star(n int) *Graph {
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(0, v)
+		b.MustAddEdge(0, v)
 	}
-	return g
+	return b.MustBuild()
 }
 
 // Clique returns the complete undirected graph on n nodes (radius 1).
 func Clique(n int) *Graph {
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
+			b.MustAddEdge(u, v)
 		}
 	}
-	return g
+	return b.MustBuild()
 }
 
 // CompleteLayered returns the undirected complete layered network with the
@@ -50,7 +50,7 @@ func CompleteLayered(sizes []int) (*Graph, error) {
 		}
 		n += s
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	prev := []int{0}
 	next := 1
 	for _, s := range sizes {
@@ -61,12 +61,12 @@ func CompleteLayered(sizes []int) (*Graph, error) {
 		}
 		for _, u := range prev {
 			for _, v := range layer {
-				g.MustAddEdge(u, v)
+				b.MustAddEdge(u, v)
 			}
 		}
 		prev = layer
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // LayerSizesForRadius splits n-1 non-source nodes into d layers as evenly as
@@ -107,7 +107,7 @@ func WorstLabelCompleteLayered(n, d int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	prev := []int{0}
 	// Layer 1 takes the top labels; later layers fill ascending from 1.
 	next := 1
@@ -125,12 +125,12 @@ func WorstLabelCompleteLayered(n, d int) (*Graph, error) {
 		}
 		for _, u := range prev {
 			for _, v := range layer {
-				g.MustAddEdge(u, v)
+				b.MustAddEdge(u, v)
 			}
 		}
 		prev = layer
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // RandomLayered returns an undirected layered network with n nodes and
@@ -156,50 +156,58 @@ func RandomLayered(n, d int, p float64, src *rng.Source) (*Graph, error) {
 		}
 		layers[i+1] = layer
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for i := 1; i <= d; i++ {
 		prev := layers[i-1]
 		for _, v := range layers[i] {
 			// One guaranteed parent keeps v at distance exactly i.
 			parent := prev[src.Intn(len(prev))]
-			g.MustAddEdge(parent, v)
+			b.MustAddEdge(parent, v)
 			for _, u := range prev {
 				if u != parent && src.Bernoulli(p) {
-					g.MustAddEdge(u, v)
+					b.MustAddEdge(u, v)
 				}
 			}
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // GNPConnected returns a connected undirected Erdős–Rényi-style graph: a
 // uniform random spanning tree guarantees connectivity, then every other
 // pair is added independently with probability p.
 func GNPConnected(n int, p float64, src *rng.Source) *Graph {
-	g := RandomTree(n, src)
+	b := NewBuilder(n, true)
+	addRandomTree(b, n, src)
 	if p > 0 {
+		tree := b.MustBuild()
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				if !g.HasEdge(u, v) && src.Bernoulli(p) {
-					g.MustAddEdge(u, v)
+				if !tree.HasEdge(u, v) && src.Bernoulli(p) {
+					b.MustAddEdge(u, v)
 				}
 			}
 		}
 	}
-	return g
+	return b.MustBuild()
 }
 
 // RandomTree returns a uniformly random labelled tree on n nodes via a
 // random Prüfer sequence (n >= 1; n <= 2 returns the trivial tree/path).
 func RandomTree(n int, src *rng.Source) *Graph {
-	g := New(n, true)
+	b := NewBuilder(n, true)
+	addRandomTree(b, n, src)
+	return b.MustBuild()
+}
+
+// addRandomTree adds the edges of RandomTree(n, src) to b.
+func addRandomTree(b *Builder, n int, src *rng.Source) {
 	if n <= 1 {
-		return g
+		return
 	}
 	if n == 2 {
-		g.MustAddEdge(0, 1)
-		return g
+		b.MustAddEdge(0, 1)
+		return
 	}
 	prufer := make([]int, n-2)
 	for i := range prufer {
@@ -220,7 +228,7 @@ func RandomTree(n int, src *rng.Source) *Graph {
 	}
 	leaf := ptr
 	for _, v := range prufer {
-		g.MustAddEdge(leaf, v)
+		b.MustAddEdge(leaf, v)
 		degree[v]--
 		if degree[v] == 1 && v < ptr {
 			leaf = v
@@ -232,25 +240,24 @@ func RandomTree(n int, src *rng.Source) *Graph {
 			leaf = ptr
 		}
 	}
-	g.MustAddEdge(leaf, n-1)
-	return g
+	b.MustAddEdge(leaf, n-1)
 }
 
 // Grid returns the rows×cols undirected grid with the source at a corner.
 func Grid(rows, cols int) *Graph {
-	g := New(rows*cols, true)
+	b := NewBuilder(rows*cols, true)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1))
+				b.MustAddEdge(id(r, c), id(r, c+1))
 			}
 			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c))
+				b.MustAddEdge(id(r, c), id(r+1, c))
 			}
 		}
 	}
-	return g
+	return b.MustBuild()
 }
 
 // UnitDisk places n nodes uniformly in the unit square and connects pairs at
@@ -265,22 +272,24 @@ func UnitDisk(n int, radius float64, src *rng.Source) *Graph {
 		xs[i] = src.Float64()
 		ys[i] = src.Float64()
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	r2 := radius * radius
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			dx, dy := xs[u]-xs[v], ys[u]-ys[v]
 			if dx*dx+dy*dy <= r2 {
-				g.MustAddEdge(u, v)
+				b.MustAddEdge(u, v)
 			}
 		}
 	}
 	// Patch connectivity: repeatedly attach the unreachable node closest to
-	// any reachable node.
+	// any reachable node, rebuilding after each patch to find the nodes
+	// still unreachable.
 	for {
+		g := b.MustBuild()
 		dist, reachable := g.BFSLayers()
 		if reachable == n {
-			break
+			return g
 		}
 		bestU, bestV, bestD := -1, -1, math.MaxFloat64
 		for u := 0; u < n; u++ {
@@ -297,9 +306,8 @@ func UnitDisk(n int, radius float64, src *rng.Source) *Graph {
 				}
 			}
 		}
-		g.MustAddEdge(bestU, bestV)
+		b.MustAddEdge(bestU, bestV)
 	}
-	return g
 }
 
 // StarChain returns the "many informed in-neighbors" stress topology used by
@@ -309,7 +317,7 @@ func UnitDisk(n int, radius float64, src *rng.Source) *Graph {
 // situation the last step of Stage(D,i) exists to handle. n = 1 + d*(w+1).
 func StarChain(d, w int) *Graph {
 	n := 1 + d*(w+1)
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	hub := 0
 	next := 1
 	for i := 0; i < d; i++ {
@@ -321,12 +329,12 @@ func StarChain(d, w int) *Graph {
 		newHub := next
 		next++
 		for _, l := range leaves {
-			g.MustAddEdge(hub, l)
-			g.MustAddEdge(l, newHub)
+			b.MustAddEdge(hub, l)
+			b.MustAddEdge(l, newHub)
 		}
 		hub = newHub
 	}
-	return g
+	return b.MustBuild()
 }
 
 // Caterpillar returns a path of length d where every spine node additionally
@@ -334,16 +342,16 @@ func StarChain(d, w int) *Graph {
 // topology with low-degree fronts.
 func Caterpillar(d, legs int) *Graph {
 	n := d + 1 + d*legs
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	next := d + 1
 	for v := 0; v < d; v++ {
-		g.MustAddEdge(v, v+1)
+		b.MustAddEdge(v, v+1)
 		for l := 0; l < legs; l++ {
-			g.MustAddEdge(v+1, next)
+			b.MustAddEdge(v+1, next)
 			next++
 		}
 	}
-	return g
+	return b.MustBuild()
 }
 
 // DirectedLayered returns a *directed* layered network (arcs only forward),
@@ -367,20 +375,20 @@ func DirectedLayered(n, d int, p float64, src *rng.Source) (*Graph, error) {
 		}
 		layers[i+1] = layer
 	}
-	g := New(n, false)
+	b := NewBuilder(n, false)
 	for i := 1; i <= d; i++ {
 		prev := layers[i-1]
 		for _, v := range layers[i] {
 			parent := prev[src.Intn(len(prev))]
-			g.MustAddEdge(parent, v)
+			b.MustAddEdge(parent, v)
 			for _, u := range prev {
 				if u != parent && src.Bernoulli(p) {
-					g.MustAddEdge(u, v)
+					b.MustAddEdge(u, v)
 				}
 			}
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // permuteNonSource returns a permutation of 0..n-1 fixing 0, so the source

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"adhocradio/internal/rng"
 )
@@ -11,11 +12,11 @@ func Cycle(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: cycle needs n >= 3, got %d", n)
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; v < n; v++ {
-		g.MustAddEdge(v, (v+1)%n)
+		b.MustAddEdge(v, (v+1)%n)
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Wheel returns the n-node wheel: a hub (the source) connected to an
@@ -24,16 +25,16 @@ func Wheel(n int) (*Graph, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("graph: wheel needs n >= 4, got %d", n)
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(0, v)
+		b.MustAddEdge(0, v)
 		next := v + 1
 		if next == n {
 			next = 1
 		}
-		g.MustAddEdge(v, next)
+		b.MustAddEdge(v, next)
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // CompleteBinaryTree returns the complete binary tree with the given number
@@ -43,14 +44,14 @@ func CompleteBinaryTree(levels int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: binary tree levels %d out of range", levels)
 	}
 	n := 1<<levels - 1
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; 2*v+1 < n; v++ {
-		g.MustAddEdge(v, 2*v+1)
+		b.MustAddEdge(v, 2*v+1)
 		if 2*v+2 < n {
-			g.MustAddEdge(v, 2*v+2)
+			b.MustAddEdge(v, 2*v+2)
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim nodes; node v
@@ -61,16 +62,16 @@ func Hypercube(dim int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: hypercube dimension %d out of range", dim)
 	}
 	n := 1 << dim
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; v < n; v++ {
-		for b := 0; b < dim; b++ {
-			w := v ^ (1 << b)
+		for bit := 0; bit < dim; bit++ {
+			w := v ^ (1 << bit)
 			if v < w {
-				g.MustAddEdge(v, w)
+				b.MustAddEdge(v, w)
 			}
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Barbell returns two cliques of size k joined by a path of length bridge
@@ -81,27 +82,27 @@ func Barbell(k, bridge int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: barbell needs k >= 2, bridge >= 1 (got %d, %d)", k, bridge)
 	}
 	n := 2*k + bridge - 1
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	// Left clique on 0..k-1 (source inside).
 	for u := 0; u < k; u++ {
 		for v := u + 1; v < k; v++ {
-			g.MustAddEdge(u, v)
+			b.MustAddEdge(u, v)
 		}
 	}
 	// Path from node k-1 through k..k+bridge-2 to the right clique's first
 	// node k+bridge-1.
 	prev := k - 1
 	for v := k; v <= k+bridge-1; v++ {
-		g.MustAddEdge(prev, v)
+		b.MustAddEdge(prev, v)
 		prev = v
 	}
 	// Right clique on k+bridge-1 .. n-1.
 	for u := k + bridge - 1; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
+			b.MustAddEdge(u, v)
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // RandomRegular returns a connected random d-regular graph on n nodes
@@ -130,7 +131,10 @@ func RandomRegular(n, d int, src *rng.Source) (*Graph, error) {
 }
 
 // tryConfigurationModel pairs n·d stubs uniformly, then repairs invalid
-// pairs (self-loops, duplicates) by swapping with random valid pairs.
+// pairs (self-loops, duplicates) by swapping with random valid pairs. The
+// repair reads and edits adjacency as it goes, so it works on plain
+// neighbor lists (removal swaps with the last entry), and the graph is
+// laid out from the finished lists.
 func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 	stubs := make([]int, 0, n*d)
 	for v := 0; v < n; v++ {
@@ -143,11 +147,15 @@ func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 	for i := 0; i < len(stubs); i += 2 {
 		pairs = append(pairs, [2]int{stubs[i], stubs[i+1]})
 	}
-	g := New(n, true)
+	adj := make([][]int, n)
+	link := func(u, v int) {
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+	}
 	bad := pairs[:0:0]
 	for _, pr := range pairs {
-		if pr[0] != pr[1] && !g.HasEdge(pr[0], pr[1]) {
-			g.MustAddEdge(pr[0], pr[1])
+		if pr[0] != pr[1] && !slices.Contains(adj[pr[0]], pr[1]) {
+			link(pr[0], pr[1])
 		} else {
 			bad = append(bad, pr)
 		}
@@ -161,18 +169,43 @@ func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 		a, b := pr[0], pr[1]
 		// Pick a random existing edge (u, w).
 		u := src.Intn(n)
-		if g.OutDegree(u) == 0 {
+		if len(adj[u]) == 0 {
 			continue
 		}
-		w := g.Out(u)[src.Intn(g.OutDegree(u))]
+		w := adj[u][src.Intn(len(adj[u]))]
 		// Proposed replacement: (a, u) and (b, w).
-		if a == u || b == w || g.HasEdge(a, u) || g.HasEdge(b, w) {
+		if a == u || b == w || slices.Contains(adj[a], u) || slices.Contains(adj[b], w) {
 			continue
 		}
-		g.removeEdge(u, w)
-		g.MustAddEdge(a, u)
-		g.MustAddEdge(b, w)
+		adj[u] = removeValue(adj[u], w)
+		adj[w] = removeValue(adj[w], u)
+		link(a, u)
+		link(b, w)
 		bad = bad[:len(bad)-1]
 	}
-	return g, len(bad) == 0
+	if len(bad) > 0 {
+		return nil, false
+	}
+	return undirectedFromRows(adj), true
+}
+
+// removeValue deletes v from xs by moving the last entry into its place.
+func removeValue(xs []int, v int) []int {
+	i := slices.Index(xs, v)
+	xs[i] = xs[len(xs)-1]
+	return xs[:len(xs)-1]
+}
+
+// undirectedFromRows lays out the undirected graph whose neighbor lists,
+// in order, are rows; rows must be symmetric and duplicate-free.
+func undirectedFromRows(rows [][]int) *Graph {
+	c := CSR{NumNodes: len(rows), OutOff: make([]int32, 1, len(rows)+1)}
+	for _, row := range rows {
+		for _, v := range row {
+			c.OutAdj = append(c.OutAdj, int32(v))
+		}
+		c.OutOff = append(c.OutOff, int32(len(c.OutAdj)))
+	}
+	c.InOff, c.InAdj = c.OutOff, c.OutAdj
+	return freeze(c, true)
 }

@@ -20,9 +20,9 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s %s {\n", kind, name)
 	fmt.Fprintf(bw, "  0 [shape=doublecircle];\n")
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			if g.undirected && v < u {
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if g.undirected && int(v) < u {
 				continue
 			}
 			fmt.Fprintf(bw, "  %d %s %d;\n", u, sep, v)
@@ -43,10 +43,10 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	if g.undirected {
 		kind = "undirected"
 	}
-	fmt.Fprintf(bw, "nodes %d %s\n", g.n, kind)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			if g.undirected && v < u {
+	fmt.Fprintf(bw, "nodes %d %s\n", g.N(), kind)
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if g.undirected && int(v) < u {
 				continue
 			}
 			fmt.Fprintf(bw, "%d %d\n", u, v)
@@ -60,7 +60,7 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var g *Graph
+	var b *Builder
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -69,7 +69,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if g == nil {
+		if b == nil {
 			if len(fields) != 3 || fields[0] != "nodes" {
 				return nil, fmt.Errorf("graph: line %d: expected \"nodes <n> <kind>\", got %q", lineNo, line)
 			}
@@ -79,9 +79,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 			switch fields[2] {
 			case "undirected":
-				g = New(n, true)
+				b = NewBuilder(n, true)
 			case "directed":
-				g = New(n, false)
+				b = NewBuilder(n, false)
 			default:
 				return nil, fmt.Errorf("graph: line %d: bad kind %q", lineNo, fields[2])
 			}
@@ -94,15 +94,15 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
-		if err := g.AddEdge(u, v); err != nil {
+		if err := b.AddEdge(u, v); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	if g == nil {
+	if b == nil {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	return g, nil
+	return b.Build()
 }

@@ -26,8 +26,9 @@ func TestWriteDOTUndirected(t *testing.T) {
 }
 
 func TestWriteDOTDirected(t *testing.T) {
-	g := New(2, false)
-	g.MustAddEdge(0, 1)
+	b := NewBuilder(2, false)
+	b.MustAddEdge(0, 1)
+	g := b.MustBuild()
 	var buf bytes.Buffer
 	if err := g.WriteDOT(&buf, ""); err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		}
 		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Out(u) {
-				if !back.HasEdge(u, v) {
+				if !back.HasEdge(u, int(v)) {
 					t.Fatalf("lost edge (%d,%d)", u, v)
 				}
 			}

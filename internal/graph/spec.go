@@ -43,6 +43,16 @@ type Spec struct {
 // discriminate with errors.Is.
 var ErrBadSpec = errors.New("graph: invalid topology spec")
 
+// maxSpecNodes and maxSpecArcs bound the graph one Spec may build, so a
+// single request cannot make radiosd allocate without bound before any
+// deadline applies. Arcs are counted in the worst case, every random edge
+// present: a gnp spec with n = 2048 is admitted at any p, as is a complete
+// layered network of about 3,300 nodes at d = 4.
+const (
+	maxSpecNodes = 1 << 20
+	maxSpecArcs  = 1 << 22
+)
+
 // specShape describes which fields a kind consumes and which constraints
 // they obey; the table keeps Normalize, Canonical and Build agreeing on the
 // field set without three switch statements drifting apart.
@@ -91,7 +101,8 @@ func Kinds() []string {
 // Normalize validates s and returns the canonical form: unused fields are
 // zeroed (so equivalent requests collapse onto one cache key), kind-specific
 // defaults are filled in, and every constraint the generators require is
-// checked up front. The error wraps ErrBadSpec.
+// checked up front, the size limits (maxSpecNodes, maxSpecArcs) included.
+// The error wraps ErrBadSpec.
 func (s Spec) Normalize() (Spec, error) {
 	shape, ok := shapeFor(s.Kind)
 	if !ok {
@@ -100,8 +111,8 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	out := Spec{Kind: s.Kind}
 	if shape.n {
-		if s.N < shape.minN {
-			return Spec{}, fmt.Errorf("%w: %s needs n >= %d, got %d", ErrBadSpec, s.Kind, shape.minN, s.N)
+		if s.N < shape.minN || s.N > maxSpecNodes {
+			return Spec{}, fmt.Errorf("%w: %s needs n in [%d,%d], got %d", ErrBadSpec, s.Kind, shape.minN, maxSpecNodes, s.N)
 		}
 		out.N = s.N
 	}
@@ -112,8 +123,8 @@ func (s Spec) Normalize() (Spec, error) {
 		out.D = s.D
 	}
 	if shape.rows {
-		if s.Rows < 1 || s.Cols < 1 {
-			return Spec{}, fmt.Errorf("%w: grid needs rows, cols >= 1, got %dx%d", ErrBadSpec, s.Rows, s.Cols)
+		if s.Rows < 1 || s.Cols < 1 || s.Rows > maxSpecNodes || s.Cols > maxSpecNodes {
+			return Spec{}, fmt.Errorf("%w: grid needs rows, cols in [1,%d], got %dx%d", ErrBadSpec, maxSpecNodes, s.Rows, s.Cols)
 		}
 		out.Rows, out.Cols = s.Rows, s.Cols
 	}
@@ -165,7 +176,47 @@ func (s Spec) Normalize() (Spec, error) {
 			return Spec{}, fmt.Errorf("%w: regular needs d <= n-1, got d=%d n=%d", ErrBadSpec, out.D, out.N)
 		}
 	}
+	if nodes, arcs := out.size(); nodes > maxSpecNodes || arcs > maxSpecArcs {
+		return Spec{}, fmt.Errorf("%w: %s builds %d nodes and up to %d arcs; the limits are %d and %d",
+			ErrBadSpec, s.Kind, nodes, arcs, maxSpecNodes, maxSpecArcs)
+	}
 	return out, nil
+}
+
+// size returns the node count of the graph a spec that passed Normalize's
+// other checks builds, and its arc count with every random edge present.
+// Those checks bound n, rows, cols and d, so nothing here overflows.
+func (s Spec) size() (nodes, arcs int64) {
+	n, d := int64(s.N), int64(s.D)
+	switch s.Kind {
+	case "path", "star", "tree":
+		return n, 2 * (n - 1)
+	case "cycle":
+		return n, 2 * n
+	case "clique", "gnp", "disk":
+		return n, n * (n - 1)
+	case "grid":
+		r, c := int64(s.Rows), int64(s.Cols)
+		return r * c, 2 * (r*(c-1) + c*(r-1))
+	case "starchain":
+		w := (n - 1) / (d + 1)
+		return 1 + d*(w+1), 4 * d * w
+	case "hypercube":
+		return 1 << d, d << d
+	case "regular":
+		return n, n * d
+	case "layered":
+		if s.P == 0 {
+			return n, 2 * (n - 1)
+		}
+	}
+	// complete, and layered with p > 0: every pair of consecutive layers.
+	sizes, _ := LayerSizesForRadius(s.N, s.D)
+	pairs := int64(sizes[0]) // the source and layer 1
+	for i := 1; i < len(sizes); i++ {
+		pairs += int64(sizes[i-1]) * int64(sizes[i])
+	}
+	return n, 2 * pairs
 }
 
 // Canonical returns the normalized cache key: a fixed-order, fixed-format

@@ -63,6 +63,15 @@ func TestSpecValidationErrors(t *testing.T) {
 		{Kind: "complete", N: 4, D: 0},        // d < 1
 		{Kind: "disk", N: 16, P: -1},          // negative radius
 		{Kind: "hypercube", D: 31},            // oversized dimension
+		{Kind: "hypercube", D: 25},            // over the node limit
+		{Kind: "hypercube", D: 18},            // over the arc limit
+		{Kind: "path", N: maxSpecNodes + 1},   // over the node limit
+		{Kind: "clique", N: 2049},             // over the arc limit
+		{Kind: "gnp", N: 1 << 40, P: 0.001},   // n*(n-1) would overflow
+		{Kind: "grid", Rows: 1 << 40, Cols: 1 << 40},
+		{Kind: "complete", N: 4096, D: 2},
+		{Kind: "layered", N: 4096, D: 4, P: 0.01},
+		{Kind: "regular", N: 4096, D: 1500},
 	}
 	for _, c := range cases {
 		if _, err := c.Normalize(); !errors.Is(err, ErrBadSpec) {
@@ -178,6 +187,68 @@ func TestSpecKindsAllBuildable(t *testing.T) {
 	for _, k := range Kinds() {
 		if _, ok := shapeFor(k); !ok {
 			t.Fatalf("Kinds() lists %q but shapeFor rejects it", k)
+		}
+	}
+}
+
+// TestSpecLimitsAdmitServedSpecs pins the spec limits against the largest
+// specs the examples and the radiosd benchmark mix send: those normalize,
+// while the hypercube that once passed Normalize and failed in the worker
+// is rejected up front. Only Normalize runs; nothing oversized is built.
+func TestSpecLimitsAdmitServedSpecs(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: "gnp", N: 2048, P: 4.0 / 2048, Seed: 3},
+		{Kind: "gnp", N: 2048, P: 1, Seed: 3},
+		{Kind: "disk", N: 2048, Seed: 3},
+		{Kind: "clique", N: 2048},
+		{Kind: "complete", N: 1600, D: 4},
+		{Kind: "complete", N: 1024, D: 8},
+		{Kind: "layered", N: 1024, D: 64, P: 0.3, Seed: 1},
+		{Kind: "layered", N: 1 << 20, D: 64, Seed: 1},
+		{Kind: "grid", Rows: 32, Cols: 32},
+		{Kind: "hypercube", D: 17},
+		{Kind: "path", N: maxSpecNodes},
+	} {
+		if _, err := spec.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", spec, err)
+		}
+	}
+	_, err := Spec{Kind: "hypercube", D: 25}.Normalize()
+	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "limits") {
+		t.Fatalf("hypercube d=25: err = %v, want the size-limit ErrBadSpec", err)
+	}
+}
+
+// TestSpecSizeMatchesBuild checks the worst-case size Normalize bounds
+// against real graphs built with every random edge present.
+func TestSpecSizeMatchesBuild(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: "path", N: 17},
+		{Kind: "star", N: 9},
+		{Kind: "clique", N: 8},
+		{Kind: "cycle", N: 11},
+		{Kind: "grid", Rows: 3, Cols: 7},
+		{Kind: "complete", N: 40, D: 4},
+		{Kind: "complete", N: 41, D: 3},
+		{Kind: "starchain", N: 41, D: 4},
+		{Kind: "hypercube", D: 4},
+		{Kind: "layered", N: 60, D: 5, P: 1, Seed: 9},
+		{Kind: "layered", N: 60, D: 5, Seed: 9},
+		{Kind: "gnp", N: 50, P: 1, Seed: 3},
+		{Kind: "tree", N: 30, Seed: 5},
+		{Kind: "regular", N: 20, D: 4, Seed: 2},
+		{Kind: "disk", N: 40, P: 2, Seed: 8},
+	} {
+		ns, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize(%+v): %v", spec, err)
+		}
+		g, err := ns.Build()
+		if err != nil {
+			t.Fatalf("Build(%+v): %v", spec, err)
+		}
+		if nodes, arcs := ns.size(); nodes != int64(g.N()) || arcs != int64(g.Edges()) {
+			t.Errorf("%+v: size() = %d nodes, %d arcs; built %d, %d", spec, nodes, arcs, g.N(), g.Edges())
 		}
 	}
 }

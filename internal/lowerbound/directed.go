@@ -182,10 +182,10 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 	}
 
 	cfg := radio.Config{N: n + 1, R: n}
-	cons := &DirectedConstruction{
-		G:          graph.New(n+1, false),
-		InformedAt: map[int]int{0: 0},
-	}
+	cons := &DirectedConstruction{InformedAt: map[int]int{0: 0}}
+	// The construction never reads G while it runs (frozen layers are
+	// simulated from cons.Layers), so its arcs go straight to a builder.
+	edges := graph.NewBuilder(n+1, false)
 	programs := map[int]radio.NodeProgram{0: p.NewNode(0, cfg)}
 
 	pool := bitset.New(n + 1)
@@ -335,7 +335,7 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		}
 		for _, u := range prevLayer {
 			for _, v := range layer {
-				cons.G.MustAddEdge(u, v)
+				edges.MustAddEdge(u, v)
 			}
 		}
 		cons.Layers = append(cons.Layers, layer)
@@ -355,7 +355,7 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		last := cons.Layers[len(cons.Layers)-1]
 		for _, v := range leftovers {
 			for _, u := range prev {
-				cons.G.MustAddEdge(u, v)
+				edges.MustAddEdge(u, v)
 			}
 			last = append(last, v)
 			pool.Remove(v)
@@ -363,7 +363,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		sort.Ints(last)
 		cons.Layers[len(cons.Layers)-1] = last
 	}
-	return cons, cons.G.Validate()
+	g, err := edges.Build()
+	if err != nil {
+		return nil, err
+	}
+	cons.G = g
+	return cons, g.Validate()
 }
 
 // VerifyDirectedRealRun replays the protocol on the constructed directed

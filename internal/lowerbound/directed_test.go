@@ -177,7 +177,7 @@ func directedVersion(g *graph.Graph, t *testing.T) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg := graph.New(g.N(), false)
+	dg := graph.NewBuilder(g.N(), false)
 	for i := 0; i+1 < len(layers); i++ {
 		for _, u := range layers[i] {
 			for _, v := range layers[i+1] {
@@ -185,7 +185,7 @@ func directedVersion(g *graph.Graph, t *testing.T) *graph.Graph {
 			}
 		}
 	}
-	return dg
+	return dg.MustBuild()
 }
 
 func TestBuildDirectedRejectsUnsuitableProtocols(t *testing.T) {

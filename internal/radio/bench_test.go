@@ -129,10 +129,9 @@ func BenchmarkSimulatorVsReference(b *testing.B) {
 
 // The dense tally kernel, isolated: every node transmits on a clique, and
 // the benchmark measures only phase 2 — counting hits over the adjacency.
-// The CSR variant walks the compiled flat int32 arrays exactly as the
-// engine's dense path does; the slice variant is the pre-CSR hot loop
-// (pointer-chasing [][]int plus first-touch dirty tracking), kept here as
-// the comparison baseline.
+// The CSR variant walks the flat int32 arrays exactly as the engine's
+// dense path does; the bitset variant runs the bit-parallel kernel over
+// the graph's bitmap rows.
 
 // benchTallyDenseCSR times the engine's dense scalar tally (branch-free
 // per-arc counters plus full clear) with the given transmitter set.
@@ -246,36 +245,4 @@ func BenchmarkTallyCrossover(b *testing.B) {
 			benchTallyBitset(b, g, tr)
 		})
 	}
-}
-
-func BenchmarkTallyDenseSlice(b *testing.B) {
-	g := graph.Clique(256)
-	n := g.N()
-	hits := make([]int32, n)
-	lastFrom := make([]int32, n)
-	dirty := make([]int, 0, n)
-	transmitters := make([]int, n)
-	for v := range transmitters {
-		transmitters[v] = v
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for bi := 0; bi < b.N; bi++ {
-		for i, u := range transmitters {
-			for _, v := range g.Out(u) {
-				if hits[v] == 0 {
-					dirty = append(dirty, v)
-				}
-				hits[v]++
-				if hits[v] == 1 {
-					lastFrom[v] = int32(i)
-				}
-			}
-		}
-		for _, v := range dirty {
-			hits[v] = 0
-		}
-		dirty = dirty[:0]
-	}
-	_ = lastFrom
 }

@@ -20,16 +20,17 @@ import (
 // to use; the package-level Run is a thin wrapper that spins up a fresh
 // Runner per call.
 //
-// The engine walks the graph's compiled CSR form (graph.Compile): flat
-// int32 adjacency arrays instead of [][]int spines. Per step it picks one
-// of three tally strategies by the transmitters' total out-degree and the
-// graph's density: a sparse path that tracks only the nodes actually hit
-// (cost proportional to arcs touched), a dense scalar path that tallies
-// branch-free into the counter array and then sweeps all nodes (cost
-// arcs + n, cheaper once the arcs touched exceed n), and — on dense graphs
-// with nil payloads — a bit-parallel kernel that ORs cached bitmap
-// adjacency rows (graph.CompileBitmap) into two saturating bitplanes, 64
-// receivers per ALU op (see tallyBitset and the DESIGN.md dispatch table).
+// The engine walks the graph's CSR adjacency (graph.Compile): the flat
+// int32 arrays every graph is laid out in when it is built. Per step it
+// picks one of three tally strategies by the transmitters' total out-degree
+// and the graph's density: a sparse path that tracks only the nodes
+// actually hit (cost proportional to arcs touched), a dense scalar path
+// that tallies branch-free into the counter array and then sweeps all
+// nodes (cost arcs + n, cheaper once the arcs touched exceed n), and — on
+// dense graphs with nil payloads — a bit-parallel kernel that ORs the
+// bitmap adjacency rows built with every dense graph (graph.CompileBitmap)
+// into two saturating bitplanes, 64 receivers per ALU op (see tallyBitset
+// and the DESIGN.md dispatch table).
 // All orders of delivery are observationally identical: node programs are
 // isolated state machines, so no program can see the order in which other
 // nodes were served within a step.
@@ -182,7 +183,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	}
 	csr := g.Compile()
 	// On dense graphs (see graph.BitmapDense) the bit-parallel tally kernel
-	// is in play: compile (or fetch the cached) bitmap adjacency up front so
+	// is in play: fetch the bitmap adjacency built with the graph up front so
 	// the hot loop only dispatches on per-step transmitter counts.
 	var bm *graph.Bitmap
 	if graph.BitmapDense(n, csr.Arcs()) {
@@ -299,7 +300,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		} else if bm != nil && allNil && arcs >= n &&
 			arcs >= bitsetArcFactor*len(r.transmitters)*bm.WordsPerRow {
 			// Bit-parallel path: word-wise two-plane accumulation over the
-			// cached bitmap rows. Eligible only on the nil-payload fast path
+			// graph's bitmap rows. Eligible only on the nil-payload fast path
 			// (payload routing needs per-hit transmitter identity) and only
 			// when the scalar per-arc work exceeds the kernel's per-word
 			// work by the measured crossover factor.
@@ -385,7 +386,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 const bitsetArcFactor = 3
 
 // tallyBitset is the bit-parallel tally: each transmitter's out-neighborhood
-// is one row of the graph's cached bitmap adjacency, and per-receiver hit
+// is one row of the graph's bitmap adjacency, and per-receiver hit
 // counts saturate at two in a pair of bitplanes —
 //
 //	hitTwice |= hitOnce & row
@@ -558,8 +559,7 @@ func (r *Runner) deliver(t, v int, h int32, jammed, allNil bool) {
 
 func (r *Runner) newProgram(v int) NodeProgram {
 	if r.na != nil {
-		neighbors := append([]int(nil), r.g.Out(v)...)
-		return r.na.NewNodeWithNeighbors(v, neighbors, r.cfg)
+		return r.na.NewNodeWithNeighbors(v, neighborList(r.g.Out(v)), r.cfg)
 	}
 	return r.p.NewNode(v, r.cfg)
 }

@@ -143,6 +143,17 @@ type NeighborAwareProtocol interface {
 	NewNodeWithNeighbors(label int, neighbors []int, cfg Config) NodeProgram
 }
 
+// neighborList copies a node's out-row into the list NewNodeWithNeighbors
+// receives; the program owns the copy. The engine and the reference oracle
+// both build neighbor-aware programs through it.
+func neighborList(row []int32) []int {
+	neighbors := make([]int, len(row))
+	for i, w := range row {
+		neighbors[i] = int(w)
+	}
+	return neighbors
+}
+
 // Options control a simulation run.
 //
 // The struct carries the mirror marker so any future engine-consulted knob

@@ -8,10 +8,10 @@ import (
 	"adhocradio/internal/graph"
 )
 
-// graphCache is the LRU compiled-graph cache at the heart of the service's
-// hot path: repeated requests for the same canonical topology spec reuse one
-// generated, CSR-compiled (and, on dense graphs, bitmap-compiled) Graph
-// instead of regenerating and recompiling per request. Keys are
+// graphCache is the LRU graph cache at the heart of the service's hot path:
+// repeated requests for the same canonical topology spec reuse one built
+// Graph, CSR and (on dense graphs) bitmap rows included, instead of
+// regenerating it per request. Keys are
 // graph.Spec.Canonical() strings, so everything the generator consumes —
 // kind, parameters, seed — is in the key and a cache hit can never change a
 // simulation result; the end-to-end determinism test gates exactly that.
@@ -19,8 +19,7 @@ import (
 // Concurrent misses for the same key coalesce: the first request becomes the
 // builder, later ones block on the entry's ready channel and reuse the
 // result (counted as hits — they did not build). Cached graphs are shared by
-// concurrent workers, which is safe because the engine only reads them and
-// Graph's compiled-form caches are atomic-pointer published.
+// concurrent workers, which is safe because a built Graph is frozen.
 type graphCache struct {
 	capacity int
 
@@ -79,7 +78,7 @@ func (c *graphCache) get(key string, spec graph.Spec) (*graph.Graph, bool, error
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	ent.g, ent.err = buildCompiled(spec)
+	ent.g, ent.err = spec.Build()
 	if ent.err != nil {
 		// Do not cache failures: remove the entry (if still resident) so a
 		// later identical request retries the build.
@@ -92,22 +91,6 @@ func (c *graphCache) get(key string, spec graph.Spec) (*graph.Graph, bool, error
 	}
 	close(ent.ready)
 	return ent.g, false, ent.err
-}
-
-// buildCompiled generates the topology and pre-compiles the adjacency forms
-// the engine dispatches on, so steady-state requests never pay compile cost:
-// the CSR always, the bitmap rows when the graph is dense enough for the
-// bit-parallel tally kernel to be eligible.
-func buildCompiled(spec graph.Spec) (*graph.Graph, error) {
-	g, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	csr := g.Compile()
-	if graph.BitmapDense(g.N(), csr.Arcs()) {
-		g.CompileBitmap()
-	}
-	return g, nil
 }
 
 // len returns the number of resident entries.
