@@ -127,14 +127,17 @@ cover:
 # reference, including fault-injected inputs. The committed corpus under
 # internal/radio/testdata/fuzz/ always replays as part of `make test`; this
 # target additionally mutates for a few seconds to probe fresh inputs. The
-# second run mutates radiolint's suppression parser, which faces arbitrary
-# source text and must never mis-anchor a suppression or crash. The third
+# second run does the same for the repository's real protocols (KP, BGI and
+# the deterministic ones) on the dense graphs the bit-parallel tally kernel
+# serves. The third mutates radiolint's suppression parser, which faces arbitrary
+# source text and must never mis-anchor a suppression or crash. The fourth
 # mutates the topology specs radiosd decodes from requests: Normalize must
-# never panic, must be idempotent, and must agree with Canonical. The fourth
+# never panic, must be idempotent, and must agree with Canonical. The fifth
 # mutates arc lists fed to graph.Builder and checks every built row against
 # a naive model, duplicates, self-loops and out-of-range endpoints included.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunVsReference -fuzztime=10s ./internal/radio
+	$(GO) test -run=NONE -fuzz=FuzzProtocolsVsReference -fuzztime=10s ./internal/radio/radiotest
 	$(GO) test -run=NONE -fuzz=FuzzParseSuppressions -fuzztime=10s ./internal/analysis
 	$(GO) test -run=NONE -fuzz=FuzzSpecNormalize -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz=FuzzBuilder -fuzztime=10s ./internal/graph

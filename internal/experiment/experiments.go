@@ -124,12 +124,14 @@ func runPoints(ctx context.Context, cfg Config, t *Table, n int,
 	return nil
 }
 
-// meanTime runs protocol p on fresh topologies from build for the given
-// number of trials and returns the mean and median broadcast time. Trials
-// are sharded across the pool: trial i derives its topology stream from
-// (seed, i) and its protocol stream from seed+1000+i, so the summary is
-// identical whatever the worker count. Per-trial wall times feed the
-// observability recorder; they never touch the returned summary.
+// meanTime runs protocol p on topologies from build for the given number of
+// trials and returns the mean and median broadcast time. Trials are sharded
+// across the pool: trial i derives its topology stream from (seed, i) and
+// its protocol stream from seed+1000+i, so the summary is identical
+// whatever the worker count. A fixed topology is built once by the caller
+// and shared: build ignores the stream and returns it, which is safe
+// because graphs are immutable. Per-trial wall times feed the observability
+// recorder; they never touch the returned summary.
 func meanTime(ctx context.Context, cfg Config, build func(src *rng.Source) (*graph.Graph, error),
 	p func() radio.Protocol, seed uint64, trials int) (stats.Summary, error) {
 	times, trialNS, err := pool.CollectMetered(ctx, cfg.workers(), trials, func(_ context.Context, i int) (int, error) {
@@ -226,9 +228,11 @@ func E2(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	err := runPoints(ctx, cfg, t, len(points), func(ctx context.Context, i int) ([][]any, error) {
 		n, d := points[i].n, points[i].d
-		build := func(src *rng.Source) (*graph.Graph, error) {
-			return graph.UniformCompleteLayered(n, d)
+		g, err := graph.UniformCompleteLayered(n, d)
+		if err != nil {
+			return nil, fmt.Errorf("E2 n=%d d=%d: %w", n, d, err)
 		}
+		build := func(*rng.Source) (*graph.Graph, error) { return g, nil }
 		kp, err := meanTime(ctx, cfg, build, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(n*d), trials)
 		if err != nil {
 			return nil, fmt.Errorf("E2 kp n=%d d=%d: %w", n, d, err)
@@ -271,8 +275,12 @@ func E3(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	err := runPoints(ctx, cfg, t, len(ds), func(ctx context.Context, i int) ([][]any, error) {
 		d := ds[i]
-		complete, err := meanTime(ctx, cfg, func(src *rng.Source) (*graph.Graph, error) {
-			return graph.UniformCompleteLayered(n, d)
+		g, err := graph.UniformCompleteLayered(n, d)
+		if err != nil {
+			return nil, fmt.Errorf("E3 complete d=%d: %w", d, err)
+		}
+		complete, err := meanTime(ctx, cfg, func(*rng.Source) (*graph.Graph, error) {
+			return g, nil
 		}, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(d), trials)
 		if err != nil {
 			return nil, fmt.Errorf("E3 complete d=%d: %w", d, err)

@@ -32,7 +32,7 @@
 // schedules are drawn from per-node rng.NewStream substreams at compile
 // time, and per-step decisions go through a keyed, order-independent mixing
 // function. That order independence is what lets the optimized CSR engine
-// and the naive RunReference oracle — which visit arcs in different orders
+// and the naive RunReferenceObserved oracle — which visit arcs in different orders
 // and different subsets — agree bit for bit on every faulty run, which the
 // differential battery and FuzzRunVsReference enforce. It also keeps
 // `-parallel N` experiment tables byte-identical: a trial's fault stream
@@ -53,7 +53,7 @@ import (
 // the same fault pattern, so runs are replayable.
 //
 // The mirror marker makes the mirrorref pass hold the optimized engine and
-// the RunReference* oracles to the CONTRIBUTING.md rule above: any member
+// the RunReference* oracle to the CONTRIBUTING.md rule above: any member
 // the engine consults must be consulted by the reference too.
 //
 //radiolint:mirror

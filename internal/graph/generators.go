@@ -282,32 +282,68 @@ func UnitDisk(n int, radius float64, src *rng.Source) *Graph {
 			}
 		}
 	}
-	// Patch connectivity: repeatedly attach the unreachable node closest to
-	// any reachable node, rebuilding after each patch to find the nodes
-	// still unreachable.
-	for {
-		g := b.MustBuild()
-		dist, reachable := g.BFSLayers()
-		if reachable == n {
-			return g
-		}
-		bestU, bestV, bestD := -1, -1, math.MaxFloat64
-		for u := 0; u < n; u++ {
-			if dist[u] == -1 {
+	disk := b.MustBuild()
+	dist, reachable := disk.BFSLayers()
+	if reachable == n {
+		return disk
+	}
+	// Patch connectivity: repeatedly attach the unreached node closest to
+	// any reached node, the pair with the smallest (distance, reached
+	// label, unreached label), and reach that node's whole radius
+	// component. Patch edges only ever join reached nodes, so the radius
+	// graph alone says what each patch reaches. near[v] is unreached v's
+	// closest reached node (ties to the lower label), refreshed as nodes
+	// are reached, which keeps the whole patch at O(n²).
+	reached := make([]bool, n)
+	near := make([]int, n)
+	nearD := make([]float64, n)
+	for v := range nearD {
+		nearD[v] = math.MaxFloat64
+	}
+	relax := func(u int) {
+		for v := 0; v < n; v++ {
+			if reached[v] {
 				continue
 			}
-			for v := 0; v < n; v++ {
-				if dist[v] != -1 {
-					continue
-				}
-				dx, dy := xs[u]-xs[v], ys[u]-ys[v]
-				if d := dx*dx + dy*dy; d < bestD {
-					bestU, bestV, bestD = u, v, d
+			dx, dy := xs[u]-xs[v], ys[u]-ys[v]
+			if d := dx*dx + dy*dy; d < nearD[v] || d == nearD[v] && u < near[v] {
+				near[v], nearD[v] = u, d
+			}
+		}
+	}
+	for u := range dist {
+		reached[u] = dist[u] != -1
+	}
+	for u := range dist {
+		if reached[u] {
+			relax(u)
+		}
+	}
+	queue := make([]int, 0, n)
+	for reachable < n {
+		v := -1
+		for w := 0; w < n; w++ {
+			if !reached[w] && (v == -1 || nearD[w] < nearD[v] || nearD[w] == nearD[v] && near[w] < near[v]) {
+				v = w
+			}
+		}
+		b.MustAddEdge(near[v], v)
+		reached[v] = true
+		queue = append(queue[:0], v)
+		for i := 0; i < len(queue); i++ {
+			for _, w := range disk.Out(queue[i]) {
+				if !reached[w] {
+					reached[w] = true
+					queue = append(queue, int(w))
 				}
 			}
 		}
-		b.MustAddEdge(bestU, bestV)
+		reachable += len(queue)
+		for _, u := range queue {
+			relax(u)
+		}
 	}
+	return b.MustBuild()
 }
 
 // StarChain returns the "many informed in-neighbors" stress topology used by

@@ -15,7 +15,8 @@ import (
 // generators draw from rng.New(seed); deterministic ones derive their size
 // from it, so every seed is a distinct graph. RandomRegular is small and
 // dense enough to need stub repairs, and UnitDisk sparse enough to need
-// connectivity patches, so the digests pin those code paths too.
+// connectivity patches, so the digests pin those code paths too: disk-tiny
+// (radius 1e-9) patches every node in, disk-patched joins a few components.
 var goldenGenerators = []struct {
 	name  string
 	build func(seed int, src *rng.Source) (*Graph, error)
@@ -31,6 +32,8 @@ var goldenGenerators = []struct {
 	{"tree", func(_ int, src *rng.Source) (*Graph, error) { return RandomTree(40, src), nil }},
 	{"grid", func(s int, _ *rng.Source) (*Graph, error) { return Grid(3+s, 4), nil }},
 	{"disk", func(_ int, src *rng.Source) (*Graph, error) { return UnitDisk(50, 0.15, src), nil }},
+	{"disk-tiny", func(_ int, src *rng.Source) (*Graph, error) { return UnitDisk(64, 1e-9, src), nil }},
+	{"disk-patched", func(_ int, src *rng.Source) (*Graph, error) { return UnitDisk(64, 0.16, src), nil }},
 	{"starchain", func(s int, _ *rng.Source) (*Graph, error) { return StarChain(s+1, 3), nil }},
 	{"caterpillar", func(s int, _ *rng.Source) (*Graph, error) { return Caterpillar(s+2, 2), nil }},
 	{"directed", func(_ int, src *rng.Source) (*Graph, error) { return DirectedLayered(40, 5, 0.3, src) }},
@@ -107,6 +110,14 @@ var goldenAdjacency = map[string]string{
 	"regular/1":     "b4743206a65df7be111d99b32d647b43055a4cf663a7f78e75803f1e43324c2d",
 	"regular/2":     "0b65384df214751975040d4c68bb3e06714bfe46b2bf8dedd51b5df26e9ef01e",
 	"regular/3":     "334c36b7c24be6774fe1c97a4743e9bfd05e0ac25c98e630b267f2d1bcce433e",
+
+	// UnitDisk at radii that need connectivity patches.
+	"disk-tiny/1":    "36f48cbc40ca96d1b2f0db57bf99674c60adf17706623bad46984a3091bf3214",
+	"disk-tiny/2":    "973c14535ad5e67e2bd478f20605a2158cee305bce341c4819c5a41fd299b768",
+	"disk-tiny/3":    "f2fb05465d9d1645c456b292a565e1e69f7d4eee5ea84cfe1876858a516437e9",
+	"disk-patched/1": "643e9a6045bb3d8eb5e8cc4015be94f4636930cf75e73117daf2a7281ad5ee3d",
+	"disk-patched/2": "133fd39101180803713bdc5977bcf9c2ffae3edae839f478e05c7961e1548d8b",
+	"disk-patched/3": "95c52121859df46948ce1cb6fbaee016c83ed9416ed57e1ca412047bad71905f",
 }
 
 // putInts writes xs to h as little-endian 32-bit words.

@@ -14,7 +14,7 @@
 //     0 allocs/op.
 //
 //  2. Every counter the optimized engine maintains is maintained
-//     independently by the naive RunReference* oracle — the same
+//     independently by the naive RunReferenceObserved oracle — the same
 //     mirror-in-reference rule fault models follow (CONTRIBUTING.md). The
 //     differential battery and FuzzRunVsReference assert engine/reference
 //     counter equality exactly like Result equality, and the mirrorref

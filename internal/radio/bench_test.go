@@ -13,8 +13,8 @@ import (
 
 // Simulator micro-benchmarks: per-step cost under light (sparse
 // transmitters) and heavy (everyone transmits) load, engine reuse, the
-// relative cost of the reference oracle, and the CSR-vs-slice adjacency
-// tally kernel. Every benchmark reports ns/step next to ns/op so runs with
+// relative cost of the reference oracle, and the scalar CSR and
+// bit-parallel tally kernels. Every benchmark reports ns/step next to ns/op so runs with
 // different step budgets stay comparable.
 
 // reportSteps attaches the per-step cost metric; call after the timed loop.
@@ -51,29 +51,19 @@ func BenchmarkSimulatorSparseLoad(b *testing.B) {
 }
 
 // BenchmarkSimulatorDenseLoad is the dense saturation workload: every step
-// floods ~256 transmitters over 65k arcs with nil payloads, the shape of
-// every tally-bound trial in the experiment harness. Nil payloads keep the
-// run on the allNil fast path, where the bit-parallel bitset kernel is
-// eligible — the payload-bearing variant of the same workload is
-// BenchmarkSimulatorDensePayloadLoad below.
+// floods ~256 transmitters over 65k arcs, each carrying a payload like every
+// real protocol's, the shape of every tally-bound trial in the experiment
+// harness. Every step takes the bit-parallel bitset kernel.
 func BenchmarkSimulatorDenseLoad(b *testing.B) {
-	g := graph.Clique(256)
-	benchRun(b, g, nilFlood{}, 50)
-}
-
-// BenchmarkSimulatorDensePayloadLoad is DenseLoad with a payload attached
-// to every transmission: allNil is false, so this pins the cost of the
-// dense scalar tally path (the bitset kernel is payload-fast-path-only).
-func BenchmarkSimulatorDensePayloadLoad(b *testing.B) {
 	g := graph.Clique(256)
 	benchRun(b, g, flood{}, 50)
 }
 
 // BenchmarkSimulatorRunnerReuse is the steady-state trial loop the
 // experiment engine runs: one Runner, one Result, many trials on the same
-// graph. With a protocol whose programs are zero-size and payloads nil, the
-// allocs/op column is the engine's own steady-state allocation count — the
-// tentpole target is 0.
+// graph. With a protocol whose programs are zero-size and payloads nil, so
+// that the protocol itself allocates nothing, the allocs/op column is the
+// engine's own steady-state allocation count, which must be 0.
 func BenchmarkSimulatorRunnerReuse(b *testing.B) {
 	g := graph.Clique(256)
 	r := NewRunner()
@@ -117,7 +107,7 @@ func BenchmarkSimulatorVsReference(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The reference stops with ErrStepLimit at the budget; that is
 			// the expected outcome here.
-			res, err := RunReference(g, coin{}, Config{Seed: 7}, 300)
+			res, _, err := RunReferenceObserved(g, coin{}, Config{Seed: 7}, 300, nil)
 			if err != nil && !errors.Is(err, ErrStepLimit) {
 				b.Fatal(err)
 			}

@@ -2,6 +2,8 @@ package radio
 
 import (
 	"errors"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"adhocradio/internal/bitset"
@@ -79,10 +81,9 @@ func TestBitsetKernelMatchesReference(t *testing.T) {
 		// nilFlood livelocks on the layered collision front: pure kernel
 		// steps until the budget, both sides hitting ErrStepLimit together.
 		assertMatchesReference(t, g, nilFlood{}, Config{}, 300)
-		// coin sends payloads, so per-step dispatch stays on the scalar
-		// paths; run it (budgeted — exactly-one-of-k among dense layers is
-		// vanishingly rare, so coin livelocks here too) to cover the
-		// payload side of the boundary.
+		// coin sends payloads, which the kernel routes through the same
+		// lastFrom pass; run it budgeted (exactly-one-of-k among dense
+		// layers is vanishingly rare, so coin livelocks here too).
 		assertMatchesReference(t, g, coin{}, Config{Seed: uint64(n)}, 200)
 	}
 }
@@ -102,13 +103,11 @@ func TestBitsetKernelDenseGNP(t *testing.T) {
 	}
 }
 
-// TestBitsetKernelPayloadFastPathOnly pins the eligibility rule on a
-// bitmap-dense graph with a protocol that interleaves nil-payload steps
-// (kernel-eligible) with payload-bearing and label-only steps (scalar
-// paths): the mixed schedule must match the oracle exactly across the
-// per-step allNil dispatch flips. This is the boundary the CONTRIBUTING
-// rule ("payload-fast-path-only or mirror the observables") exists for.
-func TestBitsetKernelPayloadFastPathOnly(t *testing.T) {
+// TestBitsetKernelMixedPayloads runs, on a bitmap-dense graph, a protocol
+// that puts nil carrier payloads and label-only payloads on air in the same
+// step: the kernel must hand each lone receiver its own sender's payload,
+// so the SourceCarrier gate informs exactly the nodes the oracle informs.
+func TestBitsetKernelMixedPayloads(t *testing.T) {
 	src := rng.New(17)
 	g := graph.GNPConnected(96, 0.4, src)
 	if !graph.BitmapDense(g.N(), g.Edges()) {
@@ -164,17 +163,24 @@ func (n *collisionCounterNode) DeliverCollision(t int)     { collisionEvents++ }
 
 // collisionPanicAt is collisionCounter with a DeliverCollision that panics
 // at a chosen step — the unwind happens inside the bit-parallel kernel's
-// delivery sweep, while all three bitplanes still hold live masks.
-type collisionPanicAt struct{ step int }
+// delivery sweep, while all three bitplanes still hold live masks. Every
+// transmission carries payload (nil unless set).
+type collisionPanicAt struct {
+	step    int
+	payload any
+}
 
 func (p collisionPanicAt) Name() string { return "collision-panic" }
 func (p collisionPanicAt) NewNode(label int, cfg Config) NodeProgram {
-	return &collisionPanicNode{label: label, step: p.step}
+	return &collisionPanicNode{label: label, step: p.step, payload: p.payload}
 }
 
-type collisionPanicNode struct{ label, step int }
+type collisionPanicNode struct {
+	label, step int
+	payload     any
+}
 
-func (n *collisionPanicNode) Act(t int) (bool, any)      { return (t+n.label)%2 == 0, nil }
+func (n *collisionPanicNode) Act(t int) (bool, any)      { return (t+n.label)%2 == 0, n.payload }
 func (n *collisionPanicNode) Deliver(t int, msg Message) {}
 func (n *collisionPanicNode) DeliverCollision(t int) {
 	if t == n.step {
@@ -222,7 +228,8 @@ func TestBitsetKernelPoisonRecovery(t *testing.T) {
 // strategies: flooding a barbell of two bitmap-dense cliques starts sparse
 // (lone source), goes bit-parallel when a whole clique is on air, and
 // crawls the bridge on the sparse scalar path. The oracle must agree on
-// every field at each flip.
+// every field at each flip, for nil payloads and for coin's payloads,
+// which take the same flips.
 func TestBitsetDispatchCrossover(t *testing.T) {
 	g, err := graph.Barbell(70, 8)
 	if err != nil {
@@ -233,4 +240,25 @@ func TestBitsetDispatchCrossover(t *testing.T) {
 	}
 	assertMatchesReference(t, g, nilFlood{}, Config{}, 2048)
 	assertMatchesReference(t, g, coin{}, Config{Seed: 9}, 500)
+}
+
+// TestBitsetKernelServesPayloads pins the kernel to payload-carrying steps:
+// on Clique(100) with half the labels on air, a listener that panics in
+// DeliverCollision must be reached through tallyBitset even though every
+// transmission carries a payload.
+func TestBitsetKernelServesPayloads(t *testing.T) {
+	var stack string
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic from listener")
+			}
+			stack = string(debug.Stack())
+		}()
+		_, _ = NewRunner().Run(graph.Clique(100), collisionPanicAt{step: 4, payload: "msg"}, Config{},
+			Options{MaxSteps: 20, RunToMaxSteps: true, CollisionDetection: true})
+	}()
+	if !strings.Contains(stack, "(*Runner).tallyBitset") {
+		t.Fatalf("payload-carrying dense step did not take the bit-parallel kernel:\n%s", stack)
+	}
 }

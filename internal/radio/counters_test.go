@@ -135,7 +135,7 @@ func TestCountersEngineVsReferenceUnderFaults(t *testing.T) {
 }
 
 // TestRunReferenceObservedValidation: validation failures return zero
-// counters and a nil result, exactly like RunReferenceWithFaults.
+// counters and a nil result.
 func TestRunReferenceObservedValidation(t *testing.T) {
 	g := graph.Path(4)
 	res, c, err := RunReferenceObserved(g, flood{}, Config{N: 7}, 0, nil)

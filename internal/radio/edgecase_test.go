@@ -31,7 +31,7 @@ func TestEdgeSingleNodeParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("faults=%v: %v", withFaults, err)
 		}
-		ref, err := RunReferenceWithFaults(g, flood{}, Config{}, 0, plan)
+		ref, _, err := RunReferenceObserved(g, flood{}, Config{}, 0, plan)
 		if err != nil {
 			t.Fatalf("faults=%v reference: %v", withFaults, err)
 		}
@@ -55,7 +55,7 @@ func TestEdgeZeroMaxStepsIsDefault(t *testing.T) {
 	if err != nil || !res.Completed {
 		t.Fatalf("fast: err %v, res %+v", err, res)
 	}
-	ref, err := RunReference(g, flood{}, Config{}, 0)
+	ref, _, err := RunReferenceObserved(g, flood{}, Config{}, 0, nil)
 	if err != nil || !ref.Completed {
 		t.Fatalf("ref: err %v, res %+v", err, ref)
 	}
@@ -72,7 +72,7 @@ func TestEdgeNegativeMaxSteps(t *testing.T) {
 		errors.Is(err, ErrStepLimit) || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("fast: err = %v, want negative-MaxSteps validation error", err)
 	}
-	if _, err := RunReference(g, flood{}, Config{}, -1); err == nil ||
+	if _, _, err := RunReferenceObserved(g, flood{}, Config{}, -1, nil); err == nil ||
 		errors.Is(err, ErrStepLimit) || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("ref: err = %v, want negative-MaxSteps validation error", err)
 	}
@@ -90,7 +90,7 @@ func TestEdgeIsolatedSource(t *testing.T) {
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("fast: err = %v, want ErrStepLimit", err)
 	}
-	ref, refErr := RunReference(g, flood{}, Config{}, 50)
+	ref, _, refErr := RunReferenceObserved(g, flood{}, Config{}, 50, nil)
 	if !errors.Is(refErr, ErrStepLimit) {
 		t.Fatalf("ref: err = %v, want ErrStepLimit", refErr)
 	}
@@ -111,7 +111,7 @@ func TestEdgeConfigMismatchParity(t *testing.T) {
 	if _, err := Run(g, flood{}, Config{N: 5}, Options{}); err == nil {
 		t.Fatal("fast: mismatched cfg.N accepted")
 	}
-	if _, err := RunReference(g, flood{}, Config{N: 5}, 0); err == nil {
+	if _, _, err := RunReferenceObserved(g, flood{}, Config{N: 5}, 0, nil); err == nil {
 		t.Fatal("ref: mismatched cfg.N accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestEdgeInvalidFaultPlanParity(t *testing.T) {
 	if res.BroadcastTime != 42 {
 		t.Fatalf("validation error mutated caller's Result: %+v", res)
 	}
-	if _, err := RunReferenceWithFaults(g, flood{}, Config{}, 0, bad); err == nil {
+	if _, _, err := RunReferenceObserved(g, flood{}, Config{}, 0, bad); err == nil {
 		t.Fatal("ref: invalid plan accepted")
 	}
 }

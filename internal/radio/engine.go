@@ -27,10 +27,11 @@ import (
 // actually hit (cost proportional to arcs touched), a dense scalar path
 // that tallies branch-free into the counter array and then sweeps all
 // nodes (cost arcs + n, cheaper once the arcs touched exceed n), and — on
-// dense graphs with nil payloads — a bit-parallel kernel that ORs the
-// bitmap adjacency rows built with every dense graph (graph.CompileBitmap)
-// into two saturating bitplanes, 64 receivers per ALU op (see tallyBitset
-// and the DESIGN.md dispatch table).
+// dense graphs — a bit-parallel kernel that ORs the bitmap adjacency rows
+// built with every dense graph (graph.CompileBitmap) into two saturating
+// bitplanes, 64 receivers per ALU op (see tallyBitset and the DESIGN.md
+// dispatch table). Every strategy hands deliver the unique sender of each
+// receiver that heard exactly one transmitter, so payloads take one path.
 // All orders of delivery are observationally identical: node programs are
 // isolated state machines, so no program can see the order in which other
 // nodes were served within a step.
@@ -253,13 +254,10 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		}
 
 		// Phase 1: collect transmitters among active nodes, tracking the
-		// total out-degree (to pick the tally strategy) and whether any
-		// payload is non-nil (nil payloads skip the boxing-sensitive
-		// SourceCarrier probing on every delivery). Nodes a fault plan has
-		// down (crashed or asleep) are not consulted at all.
+		// total out-degree (to pick the tally strategy). Nodes a fault plan
+		// has down (crashed or asleep) are not consulted at all.
 		r.transmitters = r.transmitters[:0]
 		r.payloads = r.payloads[:0]
-		allNil := true
 		arcs := 0
 		for _, v := range r.active {
 			if fs != nil && fs.NodeDown(t, v) {
@@ -276,9 +274,6 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 			if tx {
 				r.transmitters = append(r.transmitters, v)
 				r.payloads = append(r.payloads, payload)
-				if payload != nil {
-					allNil = false
-				}
 				r.transmitted[v] = true
 				arcs += int(outOff[v+1] - outOff[v])
 			}
@@ -296,15 +291,14 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		r.receptions = r.receptions[:0]
 		hits, lastFrom := r.hits, r.lastFrom
 		if fs != nil {
-			r.tallyFaulty(t, n, outOff, outAdj, fs, allNil)
-		} else if bm != nil && allNil && arcs >= n &&
+			r.tallyFaulty(t, n, outOff, outAdj, fs)
+		} else if bm != nil && arcs >= n &&
 			arcs >= bitsetArcFactor*len(r.transmitters)*bm.WordsPerRow {
 			// Bit-parallel path: word-wise two-plane accumulation over the
-			// graph's bitmap rows. Eligible only on the nil-payload fast path
-			// (payload routing needs per-hit transmitter identity) and only
-			// when the scalar per-arc work exceeds the kernel's per-word
-			// work by the measured crossover factor.
-			r.tallyBitset(t, bm, allNil)
+			// graph's bitmap rows, taken when the scalar per-arc work
+			// exceeds the kernel's per-word work by the measured crossover
+			// factor.
+			r.tallyBitset(t, bm)
 		} else if arcs >= n {
 			// Dense path: branch-free saturating-by-construction counters
 			// (a step has at most n-1 in-transmitters per node), then a
@@ -324,7 +318,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 				if r.transmitted[v] {
 					continue // half-duplex: transmitters hear nothing
 				}
-				r.deliver(t, v, h, false, allNil)
+				r.deliver(t, v, h, false)
 			}
 		} else {
 			// Sparse path: track first-touch nodes so the sweep visits only
@@ -347,7 +341,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 				if r.transmitted[v] {
 					continue // half-duplex: transmitters hear nothing
 				}
-				r.deliver(t, v, h, false, allNil)
+				r.deliver(t, v, h, false)
 			}
 		}
 		for _, u := range r.transmitters {
@@ -398,17 +392,17 @@ const bitsetArcFactor = 3
 // scalar second pass over the transmitters' rows resolves lastFrom for the
 // exactly-one words only (each such bit has a unique covering row, so the
 // write is unambiguous); collision words never need transmitter identity.
-// Delivery then iterates set bits in ascending node order, matching the
-// dense scalar sweep. Eligible only on the fault-free, all-nil-payload fast
-// path: payload routing would need per-hit payload indices the planes do
-// not carry, and RunReference* stays naive either way (the differential
-// battery and FuzzRunVsReference gate this kernel end-to-end).
+// That is all deliver needs to route the unique sender's payload, so the
+// kernel serves every fault-free step whatever the payloads. Delivery
+// iterates set bits in ascending node order, matching the dense scalar
+// sweep. RunReferenceObserved routes payloads on its own, so the
+// differential battery and the fuzz targets gate this kernel end-to-end.
 //
 // All three planes are all-zero on entry and restored to all-zero on the
 // way out, the same touched-entries invariant the scalar paths keep on hits.
 //
 //radiolint:hotpath
-func (r *Runner) tallyBitset(t int, bm *graph.Bitmap, allNil bool) {
+func (r *Runner) tallyBitset(t int, bm *graph.Bitmap) {
 	once, twice, tx := r.hitOnce, r.hitTwice, r.txPlane
 	for _, u := range r.transmitters {
 		bitset.AccumulateTwoPlane(once, twice, bm.OutRow(u))
@@ -435,14 +429,14 @@ func (r *Runner) tallyBitset(t int, bm *graph.Bitmap, allNil bool) {
 		for m != 0 {
 			v := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
-			r.deliver(t, v, 1, false, allNil)
+			r.deliver(t, v, 1, false)
 		}
 	}
 	for w, m := range twice {
 		for m != 0 {
 			v := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
-			r.deliver(t, v, 2, false, allNil)
+			r.deliver(t, v, 2, false)
 		}
 	}
 	bitset.Zero(once)
@@ -453,13 +447,13 @@ func (r *Runner) tallyBitset(t int, bm *graph.Bitmap, allNil bool) {
 // tallyFaulty is the fault-aware tally: sparse-style first-touch tracking
 // with a per-arc LinkDown check, jam-noise marks from the plan's jammers,
 // and a NodeDown gate on every receiver. Semantics (mirrored exactly by
-// RunReferenceWithFaults): a down node hears nothing and counts nothing; a
+// RunReferenceObserved): a down node hears nothing and counts nothing; a
 // dropped arc contributes no hit; jam noise turns a single legitimate hit
 // into a collision but is itself indistinguishable from silence, so noise
 // with zero legitimate hits produces no event at all.
 //
 //radiolint:hotpath
-func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, allNil bool) {
+func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State) {
 	hits, lastFrom := r.hits, r.lastFrom
 	dirty := r.dirty[:0]
 	for i, u := range r.transmitters {
@@ -498,7 +492,7 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, 
 		if r.transmitted[v] || fs.NodeDown(t, v) {
 			continue // half-duplex, or the receiver is down
 		}
-		r.deliver(t, v, h, r.jammed[v], allNil)
+		r.deliver(t, v, h, r.jammed[v])
 	}
 	for _, v := range jamDirty {
 		r.jammed[v] = false
@@ -506,28 +500,20 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, 
 }
 
 // deliver serves one non-transmitting node that was hit h times in step t:
-// exactly one hit is a reception, two or more a collision. A jammed
+// exactly one hit is a reception of the payload of its unique sender,
+// transmitter index lastFrom[v], two or more a collision. A jammed
 // receiver's single hit is destroyed by the noise and becomes a collision.
-// allNil short-circuits payload handling when no transmitter attached one
-// this step.
 //
 //radiolint:hotpath
-func (r *Runner) deliver(t, v int, h int32, jammed, allNil bool) {
+func (r *Runner) deliver(t, v int, h int32, jammed bool) {
 	switch {
 	case h == 1 && !jammed:
 		i := r.lastFrom[v]
-		var payload any
-		if !allNil {
-			payload = r.payloads[i]
-		}
+		payload := r.payloads[i]
 		msg := Message{From: r.transmitters[i], Payload: payload}
 		if r.res.InformedAt[v] == -1 {
-			carrier := true
-			if !allNil {
-				if c, ok := payload.(SourceCarrier); ok && !c.CarriesSourceMessage() {
-					carrier = false
-				}
-			}
+			c, ok := payload.(SourceCarrier)
+			carrier := !ok || c.CarriesSourceMessage()
 			switch {
 			case carrier:
 				r.res.InformedAt[v] = t

@@ -209,7 +209,7 @@ func TestRunnerDensePathThresholdCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunReference(g, flood{}, Config{}, 0)
+	ref, _, err := RunReferenceObserved(g, flood{}, Config{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

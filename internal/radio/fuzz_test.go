@@ -98,8 +98,7 @@ func fuzzPlan(pseed uint64, n int, lossB, crashB, jamB uint8) *fault.Plan {
 
 // FuzzRunVsReference is the differential fuzzer the hot loop is gated on:
 // for random connected graphs, seeds, protocols (randomized coin,
-// deterministic flood, SourceCarrier-mixing mixed, nil-payload nilFlood —
-// the last being the only one eligible for the bit-parallel tally kernel),
+// deterministic flood, SourceCarrier-mixing mixed, nil-payload nilFlood),
 // and fault plans derived from three extra bytes, the optimized CSR engine
 // and the naive oracle must agree on every observable Result field AND on
 // every obs.Counters field — including runs that hit the step budget.
@@ -116,8 +115,9 @@ func FuzzRunVsReference(f *testing.F) {
 	// testdata/fuzz/FuzzRunVsReference/): dense GNP under nilFlood at the
 	// bitplane word boundaries n=64 (one word) and n=65 (one spare bit) and
 	// at the size cap n=80 drive the bit-parallel kernel; the sparse control
-	// fails the BitmapDense gate; mixed flips allNil (and so the dispatch)
-	// per step; the fault-plan variant must bypass the kernel via tallyFaulty.
+	// fails the BitmapDense gate; mixed puts carrier and label-only payloads
+	// through the kernel in one step; the fault-plan variant must bypass the
+	// kernel via tallyFaulty.
 	f.Add(uint64(9), uint64(23), uint8(4), uint8(62), uint8(3), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(10), uint64(25), uint8(4), uint8(63), uint8(3), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(11), uint64(27), uint8(4), uint8(78), uint8(3), uint8(0), uint8(0), uint8(0))
@@ -137,9 +137,9 @@ func FuzzRunVsReference(f *testing.F) {
 		case 2:
 			p = mixed{}
 		default:
-			// nilFlood transmits nil payloads only, so on bitmap-dense
-			// inputs it drives the bit-parallel tally kernel and, around
-			// the dispatch thresholds, the scalar/bitset crossover.
+			// nilFlood transmits every step, so on bitmap-dense inputs it
+			// drives the bit-parallel tally kernel and, around the dispatch
+			// thresholds, the scalar/bitset crossover.
 			p = nilFlood{}
 		}
 		// A finite budget keeps livelocking combinations (flood on a

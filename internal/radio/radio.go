@@ -157,7 +157,7 @@ func neighborList(row []int32) []int {
 // Options control a simulation run.
 //
 // The struct carries the mirror marker so any future engine-consulted knob
-// must either reach the RunReference* oracles too or carry an explicit
+// must either reach the RunReference* oracle too or carry an explicit
 // exemption. The oracle deliberately has no Options parameter — it takes
 // maxSteps and the fault plan as plain arguments — so today every field is
 // exempt, each for its own stated reason.
@@ -184,8 +184,8 @@ type Options struct {
 	// topology churn, jammers, crash and sleep-wake schedules — see
 	// internal/fault). Nil or inactive plans leave the fault-free hot path
 	// untouched. Every fault model is implemented identically in the naive
-	// RunReference oracle (RunReferenceWithFaults), so the differential
-	// battery gates the faulty paths too.
+	// RunReferenceObserved oracle, so the differential battery gates the
+	// faulty paths too.
 	//
 	//radiolint:mirror-exempt the oracle takes the plan as an explicit parameter; the plan's own members are mirror-checked
 	Fault *fault.Plan

@@ -36,7 +36,7 @@ func TestOptimizedMatchesReferenceOnDetProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s graph %d fast: %v", p.Name(), gi, err)
 			}
-			ref, err := radio.RunReference(g, p, radio.Config{Seed: 1}, 0)
+			ref, _, err := radio.RunReferenceObserved(g, p, radio.Config{Seed: 1}, 0, nil)
 			if err != nil {
 				t.Fatalf("%s graph %d reference: %v", p.Name(), gi, err)
 			}
@@ -68,7 +68,7 @@ func TestCompleteLayeredDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := radio.RunReference(g, det.CompleteLayered{}, radio.Config{}, 0)
+		ref, _, err := radio.RunReferenceObserved(g, det.CompleteLayered{}, radio.Config{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

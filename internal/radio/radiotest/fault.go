@@ -31,7 +31,7 @@ func FaultPlans(seed uint64) map[string]*fault.Plan {
 // CheckFaults runs the protocol over the topology battery crossed with the
 // fault-plan battery and asserts, for every combination:
 //
-//  1. the optimized engine and the naive RunReferenceWithFaults oracle agree
+//  1. the optimized engine and the naive RunReferenceObserved oracle agree
 //     on every Result field AND on every obs.Counters field (steps,
 //     traffic, silent steps, links dropped, jam noise, crash/sleep skips),
 //     including on runs that hit the step limit — the differential gate for

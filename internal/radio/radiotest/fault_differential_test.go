@@ -11,9 +11,10 @@ import (
 
 // Every fault model must be mirrored in the reference simulator before it
 // ships (CONTRIBUTING.md); these runs are the gate. The protocol list spans
-// the delivery-path variants: randomized payload-carrying broadcast (core,
-// decay), deterministic nil-payload protocols (Select-and-Send, Round-Robin),
-// and the neighbor-aware DFS token with its label-only SourceCarrier echoes.
+// the delivery-path variants: randomized broadcast (core, decay),
+// deterministic schedule- and command-driven protocols (Round-Robin,
+// Select-and-Send), and the neighbor-aware DFS token with its label-only
+// SourceCarrier echoes.
 
 func TestFaultDifferentialKPOptimal(t *testing.T) {
 	CheckFaults(t, func() radio.Protocol { return core.New() }, Options{})

@@ -64,8 +64,9 @@ type Options struct {
 //  4. the same seed replays to the identical result — through a reused
 //     radio.Runner, so engine-scratch reuse is proven to leak nothing
 //     between runs for every protocol;
-//  5. the optimized engine agrees with the naive RunReference oracle on
-//     every Result field (differential validation of the CSR hot loop);
+//  5. the optimized engine agrees with the naive RunReferenceObserved
+//     oracle on every Result field (differential validation of the CSR
+//     hot loop);
 //  6. the engine's obs.Counters window for the run equals the counters
 //     RunReferenceObserved tallies independently, and both restate the
 //     Result's own accounting — the counter half of the mirror rule.

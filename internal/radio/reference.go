@@ -15,26 +15,21 @@ type ReferenceGraph interface {
 	In(v int) []int32
 }
 
-// RunReference is a deliberately naive implementation of the same model as
-// Run: per step it scans every node and every arc, with no incremental
-// bookkeeping. It exists purely as a differential-testing oracle — the
-// optimized simulator is checked against it on randomized workloads — and
-// for readers who want the model semantics in thirty lines.
-//
+// RunReferenceObserved is a deliberately naive implementation of the same
+// model as Run: per step it scans every node and every arc, with no
+// incremental bookkeeping. It exists purely as a differential-testing
+// oracle — the optimized simulator is checked against it on randomized
+// workloads — and for readers who want the model semantics in one place.
 // It supports the core model only (no collision-detection variant). The
 // protocol must be replayable (same cfg.Seed ⇒ same behaviour) for the
 // comparison to be meaningful.
-func RunReference(g ReferenceGraph, p Protocol, cfg Config, maxSteps int) (*Result, error) {
-	return RunReferenceWithFaults(g, p, cfg, maxSteps, nil)
-}
-
-// RunReferenceWithFaults is RunReference under a fault plan. Every fault
-// model of internal/fault is implemented here, independently of the
-// optimized engine, from the same order-free decision functions — that is
-// what lets the differential battery and FuzzRunVsReference gate the faulty
-// paths: both simulators must agree bit for bit on every Result field.
 //
-// Semantics, spelled out once (the engine mirrors them):
+// plan may be nil. Every fault model of internal/fault is implemented here,
+// independently of the optimized engine, from the same order-free decision
+// functions — that is what lets the differential battery and the fuzz
+// targets gate the faulty paths: both simulators must agree bit for bit on
+// every Result field. Semantics, spelled out once (the engine mirrors
+// them):
 //   - a down node (crashed or asleep) is not asked to Act and hears
 //     nothing — no reception, no collision is accounted to it;
 //   - an arc whose LinkDown decision fires carries no transmission;
@@ -42,20 +37,15 @@ func RunReference(g ReferenceGraph, p Protocol, cfg Config, maxSteps int) (*Resu
 //     ignoring link faults; a jammed listener with exactly one surviving
 //     legitimate hit suffers a collision instead of a reception, while jam
 //     noise over silence is just more silence.
-func RunReferenceWithFaults(g ReferenceGraph, p Protocol, cfg Config, maxSteps int, plan *fault.Plan) (*Result, error) {
-	res, _, err := RunReferenceObserved(g, p, cfg, maxSteps, plan)
-	return res, err
-}
-
-// RunReferenceObserved is RunReferenceWithFaults additionally returning
-// the engine counters of the run, counted independently of the optimized
-// engine: plain increments over this function's own naive scans, never
-// derived from a Result or from radio.Runner. This is the reference side
-// of the counter mirror rule (CONTRIBUTING.md): every obs.Counters field
-// the engine maintains must be maintained here too, at the semantically
-// identical accounting point, so the differential battery and
-// FuzzRunVsReference gate counter semantics exactly like result semantics.
-// On a step-limit error the counters cover the executed steps.
+//
+// It also returns the engine counters of the run, counted independently of
+// the optimized engine: plain increments over this function's own naive
+// scans, never derived from a Result or from radio.Runner. This is the
+// reference side of the counter mirror rule (CONTRIBUTING.md): every
+// obs.Counters field the engine maintains must be maintained here too, at
+// the semantically identical accounting point, so the differential battery
+// and the fuzz targets gate counter semantics exactly like result
+// semantics. On a step-limit error the counters cover the executed steps.
 func RunReferenceObserved(g ReferenceGraph, p Protocol, cfg Config, maxSteps int, plan *fault.Plan) (*Result, obs.Counters, error) {
 	var c obs.Counters
 	n := g.N()

@@ -37,7 +37,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: fast: %v", trial, err)
 		}
-		ref, err := RunReference(g, coin{}, Config{Seed: seed}, 0)
+		ref, _, err := RunReferenceObserved(g, coin{}, Config{Seed: seed}, 0, nil)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
@@ -64,19 +64,19 @@ func TestReferenceStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunReference(g, flood{}, Config{}, 50); err == nil {
+	if _, _, err := RunReferenceObserved(g, flood{}, Config{}, 50, nil); err == nil {
 		t.Fatal("reference missed the livelock")
 	}
 }
 
 func TestReferenceEmptyGraph(t *testing.T) {
-	if _, err := RunReference(graph.NewBuilder(0, true).MustBuild(), flood{}, Config{}, 0); err == nil {
+	if _, _, err := RunReferenceObserved(graph.NewBuilder(0, true).MustBuild(), flood{}, Config{}, 0, nil); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestReferenceSingleNode(t *testing.T) {
-	res, err := RunReference(graph.NewBuilder(1, true).MustBuild(), flood{}, Config{}, 0)
+	res, _, err := RunReferenceObserved(graph.NewBuilder(1, true).MustBuild(), flood{}, Config{}, 0, nil)
 	if err != nil || !res.Completed || res.BroadcastTime != 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
