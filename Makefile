@@ -129,8 +129,10 @@ cover:
 # target additionally mutates for a few seconds to probe fresh inputs. The
 # second run does the same for the repository's real protocols (KP, BGI and
 # the deterministic ones) on the dense graphs the bit-parallel tally kernel
-# serves. The third mutates radiolint's suppression parser, which faces arbitrary
-# source text and must never mis-anchor a suppression or crash. The fourth
+# serves and on sparse graphs, where wake hints skip most Act calls, with
+# and without node-fault plans. The third mutates radiolint's suppression
+# parser, which faces arbitrary source text and must never mis-anchor a
+# suppression or crash. The fourth
 # mutates the topology specs radiosd decodes from requests: Normalize must
 # never panic, must be idempotent, and must agree with Canonical. The fifth
 # mutates arc lists fed to graph.Builder and checks every built row against

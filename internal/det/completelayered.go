@@ -16,7 +16,10 @@ import "adhocradio/internal/radio"
 // stops. Phase 1 costs O(n); each of the D-1 later phases costs O(log n).
 type CompleteLayered struct{}
 
-var _ radio.DeterministicProtocol = CompleteLayered{}
+var (
+	_ radio.DeterministicProtocol = CompleteLayered{}
+	_ radio.Waker                 = (*clNode)(nil)
+)
 
 // Name implements radio.Protocol.
 func (CompleteLayered) Name() string { return "complete-layered" }
@@ -89,6 +92,25 @@ func (n *clNode) Act(t int) (bool, any) {
 	}
 
 	return n.resp.act(t, n.inSet)
+}
+
+// NextAct implements radio.Waker as ssNode's does, from the same phase-1,
+// coordinator and responder schedules; a halted node never acts again.
+func (n *clNode) NextAct(t int) int {
+	if n.halted {
+		return never
+	}
+	next := never
+	if n.label == 0 {
+		next = earliest(earliest(next, t, 1), t, n.tokenAt)
+	}
+	if n.coord != nil {
+		next = n.coord.nextAct(t, next)
+	}
+	if !n.initDone {
+		next = earliest(next, t, n.initAt)
+	}
+	return n.resp.nextAct(t, next)
 }
 
 // finishPhase emits the leader appointment (or the terminal stop order).

@@ -18,6 +18,7 @@ type DFSNeighborhood struct{}
 var (
 	_ radio.DeterministicProtocol = DFSNeighborhood{}
 	_ radio.NeighborAwareProtocol = DFSNeighborhood{}
+	_ radio.Waker                 = (*dfsNode)(nil)
 )
 
 // Name implements radio.Protocol.
@@ -90,6 +91,15 @@ func (n *dfsNode) Act(t int) (bool, any) {
 	v := n.visited.Clone()
 	v.Add(next)
 	return true, dfsToken{To: next, From: n.label, Visited: v}
+}
+
+// NextAct implements radio.Waker: a node acts only at tokenAt, while it
+// holds the token.
+func (n *dfsNode) NextAct(t int) int {
+	if !n.holdsToken || n.done {
+		return never
+	}
+	return earliest(never, t, n.tokenAt)
 }
 
 // Deliver implements radio.NodeProgram.

@@ -13,7 +13,11 @@
 // command steps are always collision-free.
 package det
 
-import "adhocradio/internal/radio"
+import (
+	"math"
+
+	"adhocradio/internal/radio"
+)
 
 // membershipMode says which listeners count as the echo set S.
 type membershipMode int
@@ -167,6 +171,12 @@ func (c *coordinator) act(t int) (bool, any) {
 	}
 }
 
+// nextAct bounds the coordinator's next action from below: it transmits
+// only at cmdStep and decides only at cmdStep+3.
+func (c *coordinator) nextAct(t, next int) int {
+	return earliest(earliest(next, t, c.cmdStep), t, c.cmdStep+3)
+}
+
 // command builds the echoCmd of the current operation.
 func (c *coordinator) command() echoCmd {
 	cmd := echoCmd{
@@ -291,6 +301,28 @@ func (r *responder) hear(cmd echoCmd) {
 	c := cmd
 	r.cmd = &c
 }
+
+// nextAct bounds the responder's next transmission from below: it answers
+// its latest command at Step1 and Step2 only.
+func (r *responder) nextAct(t, next int) int {
+	if r.cmd == nil {
+		return next
+	}
+	return earliest(earliest(next, t, r.cmd.Step1), t, r.cmd.Step2)
+}
+
+// earliest folds a scheduled step s into a wake hint: it returns s when s
+// lies at or after t and before next, and next otherwise. Unscheduled steps
+// are -1 and never count.
+func earliest(next, t, s int) int {
+	if s >= t && s < next {
+		return s
+	}
+	return next
+}
+
+// never is the wake hint of a program only a reception can wake.
+const never = math.MaxInt
 
 // act returns the responder's transmission at step t. inSet reports whether
 // this node currently satisfies the command's membership mode.

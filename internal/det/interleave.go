@@ -21,7 +21,10 @@ type Interleaved struct {
 	A, B radio.Protocol
 }
 
-var _ radio.Protocol = Interleaved{}
+var (
+	_ radio.Protocol = Interleaved{}
+	_ radio.Waker    = (*ilNode)(nil)
+)
 
 // NewInterleaved combines two protocols; the canonical instance is
 // NewInterleaved(RoundRobin{}, SelectAndSend{}).
@@ -44,15 +47,40 @@ func (p Interleaved) Deterministic() bool {
 
 // NewNode implements radio.Protocol.
 func (p Interleaved) NewNode(label int, cfg radio.Config) radio.NodeProgram {
-	return &ilNode{
+	n := &ilNode{
 		a: p.A.NewNode(label, cfg),
 		b: p.B.NewNode(label, cfg),
 	}
+	n.wa, _ = n.a.(radio.Waker)
+	n.wb, _ = n.b.(radio.Waker)
+	return n
 }
 
 type ilNode struct {
 	a, b      radio.NodeProgram
+	wa, wb    radio.Waker // the halves' hints; nil for a half without them
 	delivered bool
+}
+
+// NextAct implements radio.Waker by mapping each half's hint through its
+// virtual clock: A's step s runs at global step 2s-1 and B's at 2s. A half
+// that gives no hints is asked at every step of its own parity.
+func (n *ilNode) NextAct(t int) int {
+	sa, sb := (t+2)/2, (t+1)/2 // each half's first virtual step at or after t
+	if n.wa != nil {
+		sa = n.wa.NextAct(sa)
+	}
+	if n.wb != nil {
+		sb = n.wb.NextAct(sb)
+	}
+	next := never
+	if sa != never {
+		next = 2*sa - 1
+	}
+	if sb != never {
+		next = min(next, 2*sb)
+	}
+	return next
 }
 
 // Act implements radio.NodeProgram.

@@ -9,7 +9,10 @@ import "adhocradio/internal/radio"
 // broadcasting completes within O(nD) steps (more precisely (R+1)·D).
 type RoundRobin struct{}
 
-var _ radio.DeterministicProtocol = RoundRobin{}
+var (
+	_ radio.DeterministicProtocol = RoundRobin{}
+	_ radio.Waker                 = (*rrNode)(nil)
+)
 
 // Name implements radio.Protocol.
 func (RoundRobin) Name() string { return "round-robin" }
@@ -37,6 +40,15 @@ func (n *rrNode) Act(t int) (bool, any) {
 		return true, rrPayload{}
 	}
 	return false, nil
+}
+
+// NextAct implements radio.Waker: the first step >= t in the node's slot.
+func (n *rrNode) NextAct(t int) int {
+	wait := n.label%n.period - t%n.period
+	if wait < 0 {
+		wait += n.period
+	}
+	return t + wait
 }
 
 // Deliver implements radio.NodeProgram.

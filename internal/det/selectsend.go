@@ -16,7 +16,10 @@ import "adhocradio/internal/radio"
 // doubling echoes and Binary-Selection.
 type SelectAndSend struct{}
 
-var _ radio.DeterministicProtocol = SelectAndSend{}
+var (
+	_ radio.DeterministicProtocol = SelectAndSend{}
+	_ radio.Waker                 = (*ssNode)(nil)
+)
 
 // Name implements radio.Protocol.
 func (SelectAndSend) Name() string { return "select-and-send" }
@@ -84,6 +87,23 @@ func (n *ssNode) Act(t int) (bool, any) {
 	}
 
 	return n.resp.act(t, n.inSet)
+}
+
+// NextAct implements radio.Waker from the schedules Act reads: the source's
+// step 1 and token step, the coordinator's command and decide steps, the
+// init reply, and the responder's echo steps.
+func (n *ssNode) NextAct(t int) int {
+	next := never
+	if n.label == 0 {
+		next = earliest(earliest(next, t, 1), t, n.tokenAt)
+	}
+	if n.coord != nil {
+		next = n.coord.nextAct(t, next)
+	}
+	if !n.initDone {
+		next = earliest(next, t, n.initAt)
+	}
+	return n.resp.nextAct(t, next)
 }
 
 // finishVisit emits the token transfer decided by the completed visit.

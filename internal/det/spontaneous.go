@@ -23,6 +23,7 @@ type SpontaneousLinear struct{}
 var (
 	_ radio.DeterministicProtocol = SpontaneousLinear{}
 	_ radio.SpontaneousProtocol   = SpontaneousLinear{}
+	_ radio.Waker                 = (*spontNode)(nil)
 )
 
 // Name implements radio.Protocol.
@@ -54,7 +55,7 @@ type spontNode struct {
 	r         int
 	cfg       radio.Config
 	neighbors []int
-	dfs       radio.NodeProgram // phase-2 program, built after discovery
+	dfs       *dfsNode // phase-2 program, built after discovery
 }
 
 // phase1End returns the last step of the discovery phase.
@@ -68,10 +69,37 @@ func (n *spontNode) Act(t int) (bool, any) {
 		}
 		return false, nil
 	}
-	if n.dfs == nil {
-		n.dfs = DFSNeighborhood{}.NewNodeWithNeighbors(n.label, n.neighbors, n.cfg)
-	}
+	n.buildDFS()
 	return n.dfs.Act(t - n.phase1End())
+}
+
+// buildDFS builds the phase-2 program from the neighborhood phase 1
+// discovered, on the first call after phase 1.
+func (n *spontNode) buildDFS() {
+	if n.dfs == nil {
+		n.dfs = DFSNeighborhood{}.NewNodeWithNeighbors(n.label, n.neighbors, n.cfg).(*dfsNode)
+	}
+}
+
+// NextAct implements radio.Waker: the node's announce step, then the first
+// step after phase 1 (Act builds the DFS program there), then the DFS
+// program's hint shifted by phase 1.
+func (n *spontNode) NextAct(t int) int {
+	end := n.phase1End()
+	if t <= end {
+		if at := n.label + 1; at >= t && at <= end {
+			return at
+		}
+		return end + 1
+	}
+	if n.dfs == nil {
+		return t
+	}
+	next := n.dfs.NextAct(t - end)
+	if next == never {
+		return never
+	}
+	return next + end
 }
 
 // Deliver implements radio.NodeProgram.
@@ -82,8 +110,6 @@ func (n *spontNode) Deliver(t int, msg radio.Message) {
 		}
 		return
 	}
-	if n.dfs == nil {
-		n.dfs = DFSNeighborhood{}.NewNodeWithNeighbors(n.label, n.neighbors, n.cfg)
-	}
+	n.buildDFS()
 	n.dfs.Deliver(t-n.phase1End(), msg)
 }

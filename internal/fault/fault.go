@@ -291,6 +291,16 @@ func (s *State) LinkDown(t, u, v int) bool {
 	return false
 }
 
+// ArcFaults reports whether the state faults arcs at all: link loss,
+// churn, or a jammer that can make noise. Crash and sleep act on nodes
+// only, so a state without arc faults never makes LinkDown true and never
+// jams.
+//
+//radiolint:mirror-exempt dispatch accelerator for the CSR engine, which runs node-only plans on its clean tallies; the naive oracle probes every arc through LinkDown and JamAt, which carry the semantics
+func (s *State) ArcFaults() bool {
+	return s.plan.LinkLoss > 0 || s.plan.ChurnProb > 0 || len(s.jammers) > 0
+}
+
 // JammerNodes returns the compiled jammer host list (empty when jamming is
 // off). The slice is owned by the State; callers must not modify it.
 //

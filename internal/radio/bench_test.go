@@ -7,15 +7,18 @@ import (
 	"testing"
 
 	"adhocradio/internal/bitset"
+	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/rng"
 )
 
 // Simulator micro-benchmarks: per-step cost under light (sparse
-// transmitters) and heavy (everyone transmits) load, engine reuse, the
-// relative cost of the reference oracle, and the scalar CSR and
-// bit-parallel tally kernels. Every benchmark reports ns/step next to ns/op so runs with
-// different step budgets stay comparable.
+// transmitters) and heavy (everyone transmits) load, under a crash plan,
+// engine reuse, the relative cost of the reference oracle, and the scalar
+// CSR and bit-parallel tally kernels. Every benchmark reports ns/step next
+// to ns/op so runs with different step budgets stay comparable. The
+// deterministic protocols' benchmark lives in protocols_test.go, which can
+// import internal/det.
 
 // reportSteps attaches the per-step cost metric; call after the timed loop.
 func reportSteps(b *testing.B, totalSteps int) {
@@ -25,14 +28,15 @@ func reportSteps(b *testing.B, totalSteps int) {
 	}
 }
 
-func benchRun(b *testing.B, g *graph.Graph, p Protocol, maxSteps int) {
+func benchRun(b *testing.B, g *graph.Graph, p Protocol, maxSteps int, plan *fault.Plan) {
 	b.Helper()
 	b.ReportAllocs()
 	totalSteps := 0
 	for i := 0; i < b.N; i++ {
 		// Fixed step budget: measure per-step cost; the protocol may well
 		// be incomplete at the cap.
-		res, err := Run(g, p, Config{Seed: uint64(i + 1)}, Options{MaxSteps: maxSteps, RunToMaxSteps: true})
+		res, err := Run(g, p, Config{Seed: uint64(i + 1)},
+			Options{MaxSteps: maxSteps, RunToMaxSteps: true, Fault: plan})
 		if err != nil && !errors.Is(err, ErrStepLimit) {
 			b.Fatal(err)
 		}
@@ -47,7 +51,16 @@ func benchRun(b *testing.B, g *graph.Graph, p Protocol, maxSteps int) {
 func BenchmarkSimulatorSparseLoad(b *testing.B) {
 	src := rng.New(1)
 	g := graph.GNPConnected(1024, 4.0/1024, src)
-	benchRun(b, g, coin{}, 200)
+	benchRun(b, g, coin{}, 200, nil)
+}
+
+// BenchmarkSimulatorCrashLoad is a sparse load under a crash-only plan:
+// coin on GNPConnected(1024, 8/1024) with 2% of the nodes crashing within
+// the first 1024 steps, at a fixed 200-step budget. Crash and sleep act on
+// nodes, not arcs, so these steps take the clean tallies.
+func BenchmarkSimulatorCrashLoad(b *testing.B) {
+	g := graph.GNPConnected(1024, 8.0/1024, rng.New(1))
+	benchRun(b, g, coin{}, 200, &fault.Plan{Seed: 1, CrashFrac: 0.02, CrashWindow: 1024})
 }
 
 // BenchmarkSimulatorDenseLoad is the dense saturation workload: every step
@@ -56,7 +69,7 @@ func BenchmarkSimulatorSparseLoad(b *testing.B) {
 // harness. Every step takes the bit-parallel bitset kernel.
 func BenchmarkSimulatorDenseLoad(b *testing.B) {
 	g := graph.Clique(256)
-	benchRun(b, g, flood{}, 50)
+	benchRun(b, g, flood{}, 50, nil)
 }
 
 // BenchmarkSimulatorRunnerReuse is the steady-state trial loop the

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"errors"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -247,18 +246,7 @@ func TestBitsetDispatchCrossover(t *testing.T) {
 // DeliverCollision must be reached through tallyBitset even though every
 // transmission carries a payload.
 func TestBitsetKernelServesPayloads(t *testing.T) {
-	var stack string
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic from listener")
-			}
-			stack = string(debug.Stack())
-		}()
-		_, _ = NewRunner().Run(graph.Clique(100), collisionPanicAt{step: 4, payload: "msg"}, Config{},
-			Options{MaxSteps: 20, RunToMaxSteps: true, CollisionDetection: true})
-	}()
-	if !strings.Contains(stack, "(*Runner).tallyBitset") {
+	if stack := panicStack(t, nil); !strings.Contains(stack, "(*Runner).tallyBitset") {
 		t.Fatalf("payload-carrying dense step did not take the bit-parallel kernel:\n%s", stack)
 	}
 }

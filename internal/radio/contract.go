@@ -27,7 +27,13 @@ func (e *ContractViolationError) Error() string {
 //     (half-duplex);
 //   - the first call a non-source program sees is a Deliver (a node cannot
 //     act before it is informed), unless the protocol declares spontaneous
-//     transmissions.
+//     transmissions;
+//   - a wake hint (Waker) never names a step before the one asked about.
+//
+// The wrapped program is a Waker: it forwards the inner program's hints,
+// so a wrapped run asks Act exactly when an unwrapped one does, and an
+// inner program without hints answers with the step asked about, which
+// means "ask me at every step", as before.
 //
 // Violations are reported through the callback (tests pass t.Errorf-like
 // sinks); the wrapped program keeps working so a single run surfaces every
@@ -151,6 +157,19 @@ func (n *contractNode) Deliver(t int, msg Message) {
 	n.delivered = true
 	n.lastDeliverStep = t
 	n.inner.Deliver(t, msg)
+}
+
+// NextAct implements Waker by forwarding the inner program's hint.
+func (n *contractNode) NextAct(t int) int {
+	w, ok := n.inner.(Waker)
+	if !ok {
+		return t
+	}
+	next := w.NextAct(t)
+	if next < t {
+		n.violate(t, "wake hint names step %d, before the step asked about", next)
+	}
+	return next
 }
 
 // DeliverCollision forwards the collision-detection variant.

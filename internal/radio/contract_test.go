@@ -30,6 +30,10 @@ func TestContractPreservesMarkers(t *testing.T) {
 	if d, ok := p.(DeterministicProtocol); !ok || d.Deterministic() {
 		t.Fatal("determinism marker mishandled for a non-deterministic inner protocol")
 	}
+	// An inner program without wake hints is asked at every step.
+	if w, ok := p.NewNode(0, Config{N: 2}).(Waker); !ok || w.NextAct(9) != 9 {
+		t.Fatal("wrapped program without hints must answer NextAct(t) = t")
+	}
 }
 
 // misbehaving simulators/adversaries are what the checker exists for: drive

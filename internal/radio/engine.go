@@ -36,6 +36,13 @@ import (
 // isolated state machines, so no program can see the order in which other
 // nodes were served within a step.
 //
+// Phase 1 asks only the nodes that can act. A program that is a Waker
+// names the next step at which Act could do anything, and the engine skips
+// it until then; every other program is asked at every step. Node faults
+// (crash and sleep) are checked in phase 1 and in deliver, so plans with
+// only those run on the same three tallies; plans with per-arc faults
+// (link loss, churn, jammers) take tallyFaulty.
+//
 // A Runner must not be used from multiple goroutines at once. Parallel
 // harnesses give each worker its own Runner (or draw from a pool); the
 // simulation itself stays deterministic because a Runner carries no state
@@ -49,11 +56,11 @@ type Runner struct {
 	// Per-node scratch, grown to the largest graph seen. Between runs (and
 	// between steps) hits and transmitted are all-zero/false; every step
 	// restores that invariant for exactly the entries it touched.
-	hits        []int32 // receptions tallied in the current step
-	lastFrom    []int32 // transmitter index of the most recent hitter
-	transmitted []bool  // half-duplex: transmitted in the current step
-	dirty       []int32 // nodes hit this step (sparse path only)
-	programs    []NodeProgram
+	hits        []int32     // receptions tallied in the current step
+	lastFrom    []int32     // transmitter index of the most recent hitter
+	transmitted []bool      // half-duplex: transmitted in the current step
+	dirty       []int32     // nodes hit this step (sparse path only)
+	nodes       []nodeState // informed nodes' programs and wake steps
 
 	// Bitplane scratch for the bit-parallel tally kernel (tallyBitset),
 	// each bitset.Words(n) long. Between steps all three are all-zero; the
@@ -92,6 +99,7 @@ type Runner struct {
 	na            NeighborAwareProtocol
 	cfg           Config
 	opt           Options
+	fs            *fault.State // the run's active fault plan; nil when clean
 	spontaneous   bool
 	informedCount int
 	running       bool
@@ -191,7 +199,8 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		bm = g.CompileBitmap()
 	}
 	r.ensure(n, opt)
-	if fs != nil {
+	arcFaults := fs != nil && fs.ArcFaults()
+	if arcFaults {
 		if cap(r.jammed) < n {
 			r.jammed = make([]bool, n)
 			r.jamDirty = make([]int32, 0, n)
@@ -210,7 +219,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	*res = Result{BroadcastTime: -1, InformedAt: informed}
 	res.InformedAt[0] = 0
 
-	r.res, r.g, r.p, r.cfg, r.opt = res, g, p, cfg, opt
+	r.res, r.g, r.p, r.cfg, r.opt, r.fs = res, g, p, cfg, opt, fs
 	r.na, _ = p.(NeighborAwareProtocol)
 	r.spontaneous = false
 	if sp, ok := p.(SpontaneousProtocol); ok && sp.Spontaneous() {
@@ -218,13 +227,16 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	}
 	r.active = r.active[:0]
 	r.active = append(r.active, 0)
-	r.programs[0] = r.newProgram(0)
+	r.install(0)
 	r.informedCount = 1
 	if r.spontaneous {
 		for v := 1; v < n; v++ {
-			r.programs[v] = r.newProgram(v)
+			r.install(v)
 			r.active = append(r.active, v)
 		}
+	}
+	for _, v := range r.active {
+		r.nodes[v].rehint(1)
 	}
 
 	outOff, outAdj := csr.OutOff, csr.OutAdj
@@ -255,7 +267,10 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 
 		// Phase 1: collect transmitters among active nodes, tracking the
 		// total out-degree (to pick the tally strategy). Nodes a fault plan
-		// has down (crashed or asleep) are not consulted at all.
+		// has down (crashed or asleep) are not consulted at all; a node
+		// whose wake step lies ahead is not asked either, but the fault
+		// check comes first, so every polled down node is counted and one
+		// asleep at its wake step stays due.
 		r.transmitters = r.transmitters[:0]
 		r.payloads = r.payloads[:0]
 		arcs := 0
@@ -270,7 +285,12 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 				}
 				continue
 			}
-			tx, payload := r.programs[v].Act(t)
+			nd := &r.nodes[v]
+			if nd.wake > t {
+				continue
+			}
+			tx, payload := nd.prog.Act(t)
+			nd.rehint(t + 1)
 			if tx {
 				r.transmitters = append(r.transmitters, v)
 				r.payloads = append(r.payloads, payload)
@@ -285,12 +305,13 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		}
 
 		// Phases 2+3: tally receptions over the flat CSR arrays, then
-		// deliver. hits is restored to all-zero on the way out. Faulty runs
-		// take their own tally (per-arc loss checks and jam marks); the two
-		// fault-free paths below stay branch-free.
+		// deliver. hits is restored to all-zero on the way out. Runs with
+		// per-arc faults take their own tally (loss checks and jam marks);
+		// the scalar paths below stay branch-free, and deliver drops what a
+		// down receiver would have heard on every path.
 		r.receptions = r.receptions[:0]
 		hits, lastFrom := r.hits, r.lastFrom
-		if fs != nil {
+		if arcFaults {
 			r.tallyFaulty(t, n, outOff, outAdj, fs)
 		} else if bm != nil && arcs >= n &&
 			arcs >= bitsetArcFactor*len(r.transmitters)*bm.WordsPerRow {
@@ -393,7 +414,8 @@ const bitsetArcFactor = 3
 // exactly-one words only (each such bit has a unique covering row, so the
 // write is unambiguous); collision words never need transmitter identity.
 // That is all deliver needs to route the unique sender's payload, so the
-// kernel serves every fault-free step whatever the payloads. Delivery
+// kernel serves every step without per-arc faults whatever the payloads
+// (deliver also drops down receivers under crash and sleep plans). Delivery
 // iterates set bits in ascending node order, matching the dense scalar
 // sweep. RunReferenceObserved routes payloads on its own, so the
 // differential battery and the fuzz targets gate this kernel end-to-end.
@@ -444,13 +466,14 @@ func (r *Runner) tallyBitset(t int, bm *graph.Bitmap) {
 	bitset.Zero(tx)
 }
 
-// tallyFaulty is the fault-aware tally: sparse-style first-touch tracking
-// with a per-arc LinkDown check, jam-noise marks from the plan's jammers,
-// and a NodeDown gate on every receiver. Semantics (mirrored exactly by
-// RunReferenceObserved): a down node hears nothing and counts nothing; a
-// dropped arc contributes no hit; jam noise turns a single legitimate hit
-// into a collision but is itself indistinguishable from silence, so noise
-// with zero legitimate hits produces no event at all.
+// tallyFaulty is the tally for plans with per-arc faults (fault.State's
+// ArcFaults): sparse-style first-touch tracking with a per-arc LinkDown
+// check and jam-noise marks from the plan's jammers. Semantics (mirrored
+// exactly by RunReferenceObserved): a dropped arc contributes no hit; jam
+// noise turns a single legitimate hit into a collision but is itself
+// indistinguishable from silence, so noise with zero legitimate hits
+// produces no event at all. Down receivers are deliver's business, as on
+// every other path.
 //
 //radiolint:hotpath
 func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State) {
@@ -489,8 +512,8 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State) 
 		v := int(v32)
 		h := hits[v]
 		hits[v] = 0
-		if r.transmitted[v] || fs.NodeDown(t, v) {
-			continue // half-duplex, or the receiver is down
+		if r.transmitted[v] {
+			continue // half-duplex: transmitters hear nothing
 		}
 		r.deliver(t, v, h, r.jammed[v])
 	}
@@ -503,9 +526,15 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State) 
 // exactly one hit is a reception of the payload of its unique sender,
 // transmitter index lastFrom[v], two or more a collision. A jammed
 // receiver's single hit is destroyed by the noise and becomes a collision.
+// A receiver the fault plan has down (crashed or asleep) hears nothing and
+// counts nothing, whichever tally found it. A program that heard anything
+// is asked for a new wake hint.
 //
 //radiolint:hotpath
 func (r *Runner) deliver(t, v int, h int32, jammed bool) {
+	if r.fs != nil && r.fs.NodeDown(t, v) {
+		return
+	}
 	switch {
 	case h == 1 && !jammed:
 		i := r.lastFrom[v]
@@ -519,14 +548,16 @@ func (r *Runner) deliver(t, v int, h int32, jammed bool) {
 				r.res.InformedAt[v] = t
 				r.informedCount++
 				if !r.spontaneous {
-					r.programs[v] = r.newProgram(v)
+					r.install(v)
 					r.active = append(r.active, v)
 				}
 			case !r.spontaneous:
 				return // label-only traffic cannot inform or be acted on
 			}
 		}
-		r.programs[v].Deliver(t, msg)
+		nd := &r.nodes[v]
+		nd.prog.Deliver(t, msg)
+		nd.rehint(t + 1)
 		r.res.Receptions++
 		r.counters.Receptions++
 		if r.opt.Trace != nil {
@@ -536,18 +567,46 @@ func (r *Runner) deliver(t, v int, h int32, jammed bool) {
 		r.res.Collisions++
 		r.counters.Collisions++
 		if r.opt.CollisionDetection && r.res.InformedAt[v] != -1 {
-			if cl, ok := r.programs[v].(CollisionListener); ok {
+			nd := &r.nodes[v]
+			if cl, ok := nd.prog.(CollisionListener); ok {
 				cl.DeliverCollision(t)
+				nd.rehint(t + 1)
 			}
 		}
 	}
 }
 
-func (r *Runner) newProgram(v int) NodeProgram {
+// install builds node v's program and caches it as a Waker when it gives
+// hints. A new program is due at once (wake step 0).
+func (r *Runner) install(v int) {
+	var prog NodeProgram
 	if r.na != nil {
-		return r.na.NewNodeWithNeighbors(v, neighborList(r.g.Out(v)), r.cfg)
+		prog = r.na.NewNodeWithNeighbors(v, neighborList(r.g.Out(v)), r.cfg)
+	} else {
+		prog = r.p.NewNode(v, r.cfg)
 	}
-	return r.p.NewNode(v, r.cfg)
+	w, _ := prog.(Waker)
+	r.nodes[v] = nodeState{prog: prog, waker: w}
+}
+
+// nodeState is an informed node's run state: its program, the program as
+// a Waker (nil when it gives no hints), and the step at which it next needs
+// Act. Programs that are not Wakers keep wake step 0, so they are asked at
+// every step. One slot per node keeps the wake check on the cache line
+// phase 1 loads for the program anyway.
+type nodeState struct {
+	prog  NodeProgram
+	waker Waker
+	wake  int
+}
+
+// rehint refreshes the wake step from the program's hint for steps >= t.
+//
+//radiolint:hotpath
+func (nd *nodeState) rehint(t int) {
+	if nd.waker != nil {
+		nd.wake = nd.waker.NextAct(t)
+	}
 }
 
 // ensure sizes every scratch buffer for an n-node graph. Counters are
@@ -563,7 +622,7 @@ func (r *Runner) ensure(n int, opt Options) {
 		r.hits, r.lastFrom, r.transmitted, r.dirty = nil, nil, nil, nil
 		r.hitOnce, r.hitTwice, r.txPlane = nil, nil, nil
 		r.jammed, r.jamDirty = nil, nil
-		r.programs, r.active = nil, nil
+		r.nodes, r.active = nil, nil
 		r.transmitters, r.payloads, r.receptions = nil, nil, nil
 	}
 	r.running = true
@@ -587,13 +646,11 @@ func (r *Runner) ensure(n int, opt Options) {
 	if cap(r.dirty) < n {
 		r.dirty = make([]int32, 0, n)
 	}
-	if cap(r.programs) < n {
-		r.programs = make([]NodeProgram, n)
+	if cap(r.nodes) < n {
+		r.nodes = make([]nodeState, n)
 	}
-	r.programs = r.programs[:n]
-	for i := range r.programs {
-		r.programs[i] = nil
-	}
+	r.nodes = r.nodes[:n]
+	clear(r.nodes)
 	if cap(r.active) < n {
 		r.active = make([]int, 0, n)
 	}
@@ -609,9 +666,7 @@ func (r *Runner) ensure(n int, opt Options) {
 // finish drops every run-scoped reference so a parked Runner pins neither
 // programs, payloads, nor the graph, and marks the run cleanly ended.
 func (r *Runner) finish() {
-	for i := range r.programs {
-		r.programs[i] = nil
-	}
+	clear(r.nodes)
 	payloads := r.payloads[:cap(r.payloads)]
 	for i := range payloads {
 		payloads[i] = nil
@@ -626,7 +681,7 @@ func (r *Runner) finish() {
 	r.transmitters = r.transmitters[:0]
 	r.dirty = r.dirty[:0]
 	r.jamDirty = r.jamDirty[:0]
-	r.res, r.g, r.p, r.na = nil, nil, nil, nil
+	r.res, r.g, r.p, r.na, r.fs = nil, nil, nil, nil, nil
 	r.cfg, r.opt = Config{}, Options{}
 	r.informedCount = 0
 	r.running = false

@@ -79,14 +79,32 @@ type SourceCarrier interface {
 
 // NodeProgram is the state machine run at one node.
 //
-// The simulator calls Act(t) once per step t for every informed node, in
-// increasing t, and expects (transmit, payload). It calls Deliver(t, msg)
-// when the node was listening at step t and exactly one in-neighbor
-// transmitted. A node that transmits in a step cannot receive in it
-// (half-duplex). Programs are never called before the node is informed.
+// The simulator calls Act(t) for informed nodes, at most once per step t
+// and in increasing t, and expects (transmit, payload). A program that is
+// not a Waker is asked at every step. A Waker is asked at least at every
+// step its hint names; a call at any step between those would return
+// (false, nil) and change nothing, so skipping it is unobservable (the
+// reference oracle, RunReferenceObserved, asks at every step and holds the
+// engine to that). The simulator calls Deliver(t, msg) when the node was
+// listening at step t and exactly one in-neighbor transmitted. A node that
+// transmits in a step cannot receive in it (half-duplex). Programs are
+// never called before the node is informed.
 type NodeProgram interface {
 	Act(t int) (transmit bool, payload any)
 	Deliver(t int, msg Message)
+}
+
+// Waker is an optional NodeProgram extension for programs that know when
+// they will next be on air, such as Section 4's token and slot schedules.
+// NextAct(t) returns the earliest step >= t at which Act could transmit or
+// change state, given no Deliver or DeliverCollision before it, or
+// math.MaxInt when only such a call can change that. It is a pure query:
+// it must not change the program's state. The engine asks after every Act,
+// Deliver and DeliverCollision and skips Act until the named step; a hint
+// may name a step earlier than necessary (that only costs a call), never a
+// later one.
+type Waker interface {
+	NextAct(t int) int
 }
 
 // CollisionListener is an optional extension for the collision-detection
@@ -183,7 +201,8 @@ type Options struct {
 	// Fault attaches a deterministic fault-injection plan (link loss,
 	// topology churn, jammers, crash and sleep-wake schedules — see
 	// internal/fault). Nil or inactive plans leave the fault-free hot path
-	// untouched. Every fault model is implemented identically in the naive
+	// untouched, and plans with only crash and sleep run on the same
+	// tallies. Every fault model is implemented identically in the naive
 	// RunReferenceObserved oracle, so the differential battery gates the
 	// faulty paths too.
 	//
