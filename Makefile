@@ -75,7 +75,10 @@ race-full:
 # across all cores, shape checks enforced (-verify exits non-zero on a
 # qualitative-claim regression), machine-readable record left in BENCH_DIR.
 # A second, sequential run goes to BENCH_DIR/seq, and benchdiff requires
-# its canonical record to be byte-identical to the parallel one.
+# its canonical record to be byte-identical to the parallel one. The
+# simulator micro-benchmarks then run once each, followed by the root
+# package's two adversary-construction benchmarks (Theorem 2 and the
+# directed layer game), all appended to microbench-smoke.txt.
 #
 # The benchmark capture deliberately avoids `cmd | tee file`: in POSIX sh a
 # pipeline's status is the LAST command's, so tee used to swallow go test
@@ -90,6 +93,9 @@ bench-smoke:
 		$(BENCH_DIR)/seq/BENCH_quick_seed1.json
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/radio/... \
 		> $(BENCH_DIR)/microbench-smoke.txt 2>&1 \
+		|| { cat $(BENCH_DIR)/microbench-smoke.txt; exit 1; }
+	$(GO) test -run=NONE -bench='^Benchmark(Directed)?AdversaryBuild$$' -benchtime=1x . \
+		>> $(BENCH_DIR)/microbench-smoke.txt 2>&1 \
 		|| { cat $(BENCH_DIR)/microbench-smoke.txt; exit 1; }
 	@cat $(BENCH_DIR)/microbench-smoke.txt
 
@@ -137,12 +143,15 @@ cover:
 # never panic, must be idempotent, and must agree with Canonical. The fifth
 # mutates arc lists fed to graph.Builder and checks every built row against
 # a naive model, duplicates, self-loops and out-of-range endpoints included.
+# The sixth sends arbitrary bodies through radiosd's HTTP handler: none may
+# panic it or draw a 500, and every 200 must decode as a response.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunVsReference -fuzztime=10s ./internal/radio
 	$(GO) test -run=NONE -fuzz=FuzzProtocolsVsReference -fuzztime=10s ./internal/radio/radiotest
 	$(GO) test -run=NONE -fuzz=FuzzParseSuppressions -fuzztime=10s ./internal/analysis
 	$(GO) test -run=NONE -fuzz=FuzzSpecNormalize -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz=FuzzBuilder -fuzztime=10s ./internal/graph
+	$(GO) test -run=NONE -fuzz=FuzzSimulateRequest -fuzztime=10s ./internal/service
 
 # End-to-end gate for the radiosd serving layer, run under the race
 # detector: a real daemon child process, concurrent clients mixing cached

@@ -122,16 +122,15 @@ func Build(p radio.DeterministicProtocol, params Params) (*Construction, error) 
 	}
 
 	b := &builder{
-		proto:    p,
-		cfg:      radio.Config{N: n + 1, R: n},
-		n:        n,
-		d:        d,
-		k:        k,
-		lmax:     lmax,
-		maxWait:  maxWait,
-		programs: map[int]radio.NodeProgram{},
-		adj:      make([][]int, n+1),
-		edges:    graph.NewBuilder(n+1, true),
+		proto:   p,
+		n:       n,
+		d:       d,
+		k:       k,
+		lmax:    lmax,
+		maxWait: maxWait,
+		replay:  newReplay(p, radio.Config{N: n + 1, R: n}, n),
+		adj:     make([][]int, n+1),
+		edges:   graph.NewBuilder(n+1, true),
 		cons: &Construction{
 			N:          n,
 			D:          d,
@@ -150,7 +149,6 @@ func Build(p radio.DeterministicProtocol, params Params) (*Construction, error) 
 // builder carries the live state of the construction.
 type builder struct {
 	proto   radio.DeterministicProtocol
-	cfg     radio.Config
 	n, d    int
 	k, lmax int
 	maxWait int
@@ -162,10 +160,10 @@ type builder struct {
 	adj   [][]int
 	edges *graph.Builder
 
-	// programs holds a live node program for every node with non-empty
-	// abstract history. Candidates not chosen at part 3 are deleted
+	// replay holds a live node program for every node with non-empty
+	// abstract history. Candidates not chosen at part 3 are dropped
 	// (their histories are reset to empty, construction point 6).
-	programs map[int]radio.NodeProgram
+	replay *replay
 	// constructed lists nodes already wired into G_A, sorted.
 	constructed []int
 	// used marks labels assigned to a layer (or reserved for even layers).
@@ -175,10 +173,6 @@ type builder struct {
 	candidates []int
 	jam        *jammer
 	ySets      []*bitset.Set
-
-	// Per-step action buffers.
-	txLabels   []int
-	txPayloads map[int]any
 }
 
 // run drives the whole construction.
@@ -188,10 +182,9 @@ func (b *builder) run() error {
 	for i := 0; i < d/2; i++ {
 		b.used[i] = true // reserved for the even layers L_{2i} = {i}
 	}
-	b.programs[0] = b.proto.NewNode(0, b.cfg)
+	b.replay.start(0)
 	b.cons.InformedAt[0] = 0
 	b.constructed = []int{0}
-	b.txPayloads = map[int]any{}
 
 	t := 0
 	for i := 0; i < d/2; i++ {
@@ -227,36 +220,18 @@ func (b *builder) wire(u, v int) {
 	b.edges.MustAddEdge(u, v)
 }
 
-// collectActions calls Act(t) on every live program (in ascending label
-// order, for determinism) and records transmitters and payloads.
-func (b *builder) collectActions(t int) {
-	b.txLabels = b.txLabels[:0]
-	clear(b.txPayloads)
-	for _, lbl := range sortedLabels(b.programs) {
-		if tx, payload := b.programs[lbl].Act(t); tx {
-			b.txLabels = append(b.txLabels, lbl)
-			b.txPayloads[lbl] = payload
-		}
-	}
-}
-
-func (b *builder) transmitted(lbl int) bool {
-	_, ok := b.txPayloads[lbl]
-	return ok
-}
-
 // deliverConstructed applies procedure Radio to every constructed node
 // except `skip` (the node whose reception the jamming answer dictates):
 // a listening node receives iff exactly one of its graph neighbors
 // transmitted.
 func (b *builder) deliverConstructed(t int, skip int) {
 	for _, v := range b.constructed {
-		if v == skip || b.transmitted(v) {
+		if v == skip || b.replay.sending(v) {
 			continue
 		}
 		from, count := -1, 0
 		for _, u := range b.adj[v] {
-			if b.transmitted(u) {
+			if b.replay.sending(u) {
 				from, count = u, count+1
 				if count > 1 {
 					break
@@ -272,17 +247,15 @@ func (b *builder) deliverConstructed(t int, skip int) {
 // deliver hands a message to node v's program, creating it on first
 // contact (unless the payload is label-only, which cannot inform).
 func (b *builder) deliver(v, t, from int) {
-	payload := b.txPayloads[from]
-	prog, ok := b.programs[v]
-	if !ok {
+	if b.replay.slots[v].prog == nil {
+		payload := b.replay.slots[from].payload
 		if c, isCarrier := payload.(radio.SourceCarrier); isCarrier && !c.CarriesSourceMessage() {
 			return
 		}
-		prog = b.proto.NewNode(v, b.cfg)
-		b.programs[v] = prog
+		b.replay.start(v)
 		b.cons.InformedAt[v] = t
 	}
-	prog.Deliver(t, radio.Message{From: from, Payload: payload})
+	b.replay.deliver(v, t, from)
 }
 
 // waitForEven plays steps after t0 until node i's program transmits,
@@ -290,8 +263,8 @@ func (b *builder) deliver(v, t, from int) {
 // procedure Radio; nodes outside the constructed prefix hear nothing.
 func (b *builder) waitForEven(i, t0 int) (int, error) {
 	for t := t0 + 1; t <= t0+b.maxWait; t++ {
-		b.collectActions(t)
-		if b.transmitted(i) {
+		b.replay.act(t)
+		if b.replay.sending(i) {
 			return t, nil
 		}
 		b.deliverConstructed(t, -1)
@@ -327,12 +300,12 @@ func (b *builder) jamStage(i, tFirst int) (int, error) {
 	for l := 1; l <= b.lmax; l++ {
 		if l > 1 {
 			t++
-			b.collectActions(t)
+			b.replay.act(t)
 		}
 		// Y_l: abstract transmitters among the candidates.
 		y := bitset.New(b.n + 1)
 		for _, c := range b.candidates {
-			if b.transmitted(c) {
+			if b.replay.sending(c) {
 				y.Add(c)
 			}
 		}
@@ -348,18 +321,18 @@ func (b *builder) jamStage(i, tFirst int) (int, error) {
 		}
 
 		// Candidates: hear node i when it transmits and they do not.
-		if b.transmitted(i) {
+		if b.replay.sending(i) {
 			for _, c := range b.candidates {
-				if !b.transmitted(c) {
+				if !b.replay.sending(c) {
 					b.deliver(c, t, i)
 				}
 			}
 		}
 		// Node i: the jamming answer combined with L*_{2i-1}.
-		if !b.transmitted(i) {
+		if !b.replay.sending(i) {
 			starTx, starCount := -1, 0
 			for _, w := range starPrev {
-				if b.transmitted(w) {
+				if b.replay.sending(w) {
 					starTx, starCount = w, starCount+1
 				}
 			}
@@ -433,7 +406,7 @@ func (b *builder) fixLayer(i int) error {
 	// Point 6: unchosen candidates' histories are reset to empty.
 	for _, c := range b.candidates {
 		if !b.used[c] {
-			delete(b.programs, c)
+			b.replay.drop(c)
 			delete(b.cons.InformedAt, c)
 		}
 	}
@@ -508,10 +481,10 @@ func VerifyRealRun(p radio.DeterministicProtocol, c *Construction, maxSteps int)
 	if err != nil {
 		return res, fmt.Errorf("lowerbound: real run: %w", err)
 	}
-	for _, v := range sortedLabels(c.InformedAt) {
-		if want := c.InformedAt[v]; res.InformedAt[v] != want {
+	for v, got := range res.InformedAt {
+		if want, ok := c.InformedAt[v]; ok && got != want {
 			return res, fmt.Errorf("lowerbound: Lemma 9 violated: node %d informed at %d in the real run, %d in the construction",
-				v, res.InformedAt[v], want)
+				v, got, want)
 		}
 	}
 	return res, nil

@@ -50,22 +50,20 @@ func (c *DirectedConstruction) Delay() int {
 // sound because in a directed layered network nobody can observe a layer's
 // transmissions until the next layer exists.
 type layerGame struct {
-	live    map[int]bool
+	live    *bitset.Set
+	size    int // live.Len()
 	target  int
-	records [][]int       // per game step: live members that transmitted
-	counts  []int         // per game step: |live ∩ Y| under current live
-	stepsOf map[int][]int // member -> indices into records
+	records [][]int // per game step: live members that transmitted
+	counts  []int   // per game step: |live ∩ Y| under current live
+	stepsOf [][]int // by label: indices into records
 }
 
 func newLayerGame(candidates []int, target int) *layerGame {
-	g := &layerGame{
-		live:    make(map[int]bool, len(candidates)),
-		target:  target,
-		stepsOf: map[int][]int{},
-	}
+	g := &layerGame{live: bitset.New(0), size: len(candidates), target: target}
 	for _, c := range candidates {
-		g.live[c] = true
+		g.live.Add(c)
 	}
+	g.stepsOf = make([][]int, g.live.Max()+1)
 	return g
 }
 
@@ -76,11 +74,12 @@ func newLayerGame(candidates []int, target int) *layerGame {
 // returns (removedCount, false info) via the second return being false.
 func (g *layerGame) observe(transmitting func(label int) bool) (informer int, crossed bool, removed int) {
 	y := make([]int, 0, 4)
-	for _, c := range sortedLabels(g.live) {
+	g.live.ForEach(func(c int) bool {
 		if transmitting(c) {
 			y = append(y, c)
 		}
-	}
+		return true
+	})
 	idx := len(g.records)
 	g.records = append(g.records, y)
 	g.counts = append(g.counts, len(y))
@@ -90,57 +89,49 @@ func (g *layerGame) observe(transmitting func(label int) bool) (informer int, cr
 	if len(y) != 1 {
 		return 0, false, 0
 	}
-	// Tentative batch removal with cascade.
-	batch := map[int]bool{y[0]: true}
-	queue := []int{y[0]}
-	tmpCounts := map[int]int{} // record index -> tentative count override
-	countOf := func(i int) int {
-		if c, ok := tmpCounts[i]; ok {
-			return c
-		}
-		return g.counts[i]
-	}
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		for _, i := range g.stepsOf[m] {
-			c := countOf(i) - 1
-			tmpCounts[i] = c
-			if c != 1 {
+	// Tentative batch removal with cascade. A member leaves the live set
+	// when it joins the batch and the counts of its steps when the walk
+	// reaches it; both come back if the singleton must stand.
+	batch := []int{y[0]}
+	g.live.Remove(y[0])
+	for q := 0; q < len(batch); q++ {
+		for _, i := range g.stepsOf[batch[q]] {
+			if g.counts[i]--; g.counts[i] != 1 {
 				continue
 			}
 			// Exactly one live, un-batched transmitter remains at step i:
 			// it must go too.
 			for _, cand := range g.records[i] {
-				if g.live[cand] && !batch[cand] {
-					batch[cand] = true
-					queue = append(queue, cand)
+				if g.live.Contains(cand) {
+					batch = append(batch, cand)
+					g.live.Remove(cand)
 					break
 				}
 			}
 		}
 	}
-	if len(g.live)-len(batch) < g.target {
-		// Cannot prune without dropping below the target: the singleton
-		// stands and the layer crosses now. Roll back this step's record so
-		// the frozen set's history is exactly the steps before the cross.
+	if g.size-len(batch) < g.target {
+		// Cannot prune without dropping below the target: undo the
+		// tentative removal, and the singleton stands. The layer crosses
+		// now and the game ends, so this step's record is kept as it is.
+		for _, m := range batch {
+			g.live.Add(m)
+			for _, i := range g.stepsOf[m] {
+				g.counts[i]++
+			}
+		}
 		return y[0], true, 0
 	}
-	// Commit the batch. Removal and count decrements commute, but iterate
-	// in sorted order anyway so the whole game trace is order-independent.
-	for _, m := range sortedLabels(batch) {
-		delete(g.live, m)
-		for _, i := range g.stepsOf[m] {
-			g.counts[i]--
-		}
-		delete(g.stepsOf, m)
+	for _, m := range batch {
+		g.stepsOf[m] = nil
 	}
+	g.size -= len(batch)
 	return 0, false, len(batch)
 }
 
 // frozen returns the final layer, sorted.
 func (g *layerGame) frozen() []int {
-	return sortedLabels(g.live)
+	return g.live.Elements()
 }
 
 // BuildDirectedLayered plays the Clementi–Monti–Silvestri-style game of
@@ -181,12 +172,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		maxWait = 64 * n * (2 + intLog2(n))
 	}
 
-	cfg := radio.Config{N: n + 1, R: n}
 	cons := &DirectedConstruction{InformedAt: map[int]int{0: 0}}
 	// The construction never reads G while it runs (frozen layers are
 	// simulated from cons.Layers), so its arcs go straight to a builder.
 	edges := graph.NewBuilder(n+1, false)
-	programs := map[int]radio.NodeProgram{0: p.NewNode(0, cfg)}
+	r := newReplay(p, radio.Config{N: n + 1, R: n}, n)
+	r.start(0)
 
 	pool := bitset.New(n + 1)
 	for lbl := 1; lbl <= n; lbl++ {
@@ -194,24 +185,14 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 	}
 
 	t := 0
-	actions := map[int]any{}
 	step := func() {
 		t++
-		clear(actions)
-		for _, lbl := range sortedLabels(programs) {
-			if tx, payload := programs[lbl].Act(t); tx {
-				actions[lbl] = payload
-			}
-		}
-	}
-	transmitting := func(lbl int) bool {
-		_, ok := actions[lbl]
-		return ok
+		r.act(t)
 	}
 	singletonOf := func(members []int) (int, bool) {
 		found, count := -1, 0
 		for _, m := range members {
-			if transmitting(m) {
+			if r.sending(m) {
 				found = m
 				count++
 				if count > 1 {
@@ -227,8 +208,8 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		for _, layer := range cons.Layers {
 			if w, ok := singletonOf(prev); ok {
 				for _, v := range layer {
-					if !transmitting(v) {
-						programs[v].Deliver(t, radio.Message{From: w, Payload: actions[w]})
+					if !r.sending(v) {
+						r.deliver(v, t, w)
 					}
 				}
 			}
@@ -287,9 +268,8 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		candidates := pool.Elements()
 		candidates = candidates[:len(candidates)-reserve]
 		for _, c := range candidates {
-			prog := p.NewNode(c, cfg)
-			prog.Deliver(t, radio.Message{From: informer, Payload: actions[informer]})
-			programs[c] = prog
+			r.start(c)
+			r.deliver(c, t, informer)
 			cons.InformedAt[c] = t
 		}
 
@@ -303,13 +283,14 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 			deliverFixed()
 			// Live candidates hear the previous layer's singletons.
 			if w, ok := singletonOf(prevLayer); ok {
-				for _, c := range sortedLabels(game.live) {
-					if !transmitting(c) {
-						programs[c].Deliver(t, radio.Message{From: w, Payload: actions[w]})
+				game.live.ForEach(func(c int) bool {
+					if !r.sending(c) {
+						r.deliver(c, t, w)
 					}
-				}
+					return true
+				})
 			}
-			inf, crossed, removed := game.observe(transmitting)
+			inf, crossed, removed := game.observe(r.sending)
 			if removed > 0 {
 				cons.Removed += removed
 			}
@@ -322,14 +303,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		// Freeze layer i; pruned candidates return to the pool with reset
 		// histories.
 		layer := game.frozen()
-		keep := make(map[int]bool, len(layer))
 		for _, v := range layer {
-			keep[v] = true
 			pool.Remove(v)
 		}
 		for _, c := range candidates {
-			if !keep[c] {
-				delete(programs, c)
+			if !game.live.Contains(c) {
+				r.drop(c)
 				delete(cons.InformedAt, c)
 			}
 		}
@@ -379,10 +358,10 @@ func VerifyDirectedRealRun(p radio.DeterministicProtocol, c *DirectedConstructio
 	if err != nil {
 		return res, fmt.Errorf("lowerbound: directed real run: %w", err)
 	}
-	for _, v := range sortedLabels(c.InformedAt) {
-		if want := c.InformedAt[v]; res.InformedAt[v] != want {
+	for v, got := range res.InformedAt {
+		if want, ok := c.InformedAt[v]; ok && got != want {
 			return res, fmt.Errorf("lowerbound: directed equivalence violated: node %d informed at %d, construction says %d",
-				v, res.InformedAt[v], want)
+				v, got, want)
 		}
 	}
 	return res, nil

@@ -33,7 +33,7 @@ func TestLayerGameInvariant(t *testing.T) {
 	if crossed || removed != 2 {
 		t.Fatalf("cascade removed %d (crossed=%v), want 2", removed, crossed)
 	}
-	if g.live[1] || g.live[2] {
+	if g.live.Contains(1) || g.live.Contains(2) {
 		t.Fatal("cascade left 1 or 2 alive")
 	}
 	// Step 3: {3} — singleton, plain removal (no history for 3).
@@ -73,7 +73,7 @@ func TestLayerGameAbortsCascadeBelowTarget(t *testing.T) {
 	if !crossed || inf != 2 || removed != 0 {
 		t.Fatalf("abort failed: inf=%d crossed=%v removed=%d", inf, crossed, removed)
 	}
-	if len(g.live) != 3 {
+	if g.live.Len() != 3 {
 		t.Fatal("abort mutated the live set")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -22,8 +23,9 @@ type SimulateRequest struct {
 	Protocol string `json:"protocol"`
 	// Seed drives all protocol randomness; same request, same response.
 	Seed uint64 `json:"seed"`
-	// MaxSteps bounds the simulation (0 = the engine's default budget). A
-	// run that exhausts it is reported with completed=false, not an error.
+	// MaxSteps bounds the simulation (0 = the engine's default budget; a
+	// negative value is a 400). A run that exhausts it is reported with
+	// completed=false, not an error.
 	MaxSteps int `json:"max_steps"`
 	// TimeoutMS is the per-request deadline in milliseconds, clamped to
 	// the service's MaxTimeout (0 = MaxTimeout).
@@ -130,6 +132,10 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	if req.MaxSteps < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: negative max_steps %d", req.MaxSteps))
+		return
+	}
 	// The worker never cancels ctx: if it did so before closing done, the
 	// select below could see the cancellation first and answer 504 for a
 	// job that completed.
@@ -162,8 +168,11 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if j.err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled) {
+		switch {
+		case errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled):
 			status = http.StatusGatewayTimeout
+		case errors.Is(j.err, errUnfitProtocol):
+			status = http.StatusBadRequest
 		}
 		writeError(w, status, j.err)
 		return

@@ -193,6 +193,48 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateNegativeMaxSteps: a negative step budget is the client's
+// error, answered 400 before the job is admitted, so it takes no queue
+// slot, builds no graph and counts as no failed job.
+func TestSimulateNegativeMaxSteps(t *testing.T) {
+	s, srv := newTestService(t, Config{})
+	req := testSimReq
+	req.MaxSteps = -1
+	resp := postJSON(t, srv.URL+"/v1/simulate", req)
+	b := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400; body %s", resp.StatusCode, b)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(b, &e); err != nil || !strings.Contains(e.Error, "max_steps") {
+		t.Fatalf("400 body %s does not name max_steps (%v)", b, err)
+	}
+	if n := s.accepted.Load() + s.rejected.Load(); n != 0 {
+		t.Fatalf("negative max_steps reached admission (%d)", n)
+	}
+	if n := s.cache.misses.Load(); n != 0 {
+		t.Fatalf("negative max_steps looked up the graph cache (%d misses)", n)
+	}
+}
+
+// TestSimulateKPOnOneNode: KP's schedule needs a label bound of at least
+// 1, so a one-node topology is the client's error. It is answered 400, and
+// the worker survives to serve the next request.
+func TestSimulateKPOnOneNode(t *testing.T) {
+	_, srv := newTestService(t, Config{Workers: 1})
+	for _, proto := range []string{"kp", "kp-paper"} {
+		resp := postJSON(t, srv.URL+"/v1/simulate",
+			SimulateRequest{Topology: graph.Spec{Kind: "path", N: 1}, Protocol: proto})
+		if b := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400; body %s", proto, resp.StatusCode, b)
+		}
+	}
+	resp := postJSON(t, srv.URL+"/v1/simulate", testSimReq)
+	if b := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d; body %s", resp.StatusCode, b)
+	}
+}
+
 // TestBackpressureQueueFull fills the single queue slot while the only
 // worker is parked, then asserts the next request sheds with 503 +
 // Retry-After instead of queueing unboundedly.
