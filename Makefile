@@ -38,8 +38,13 @@ COVER_PROFILE ?= cover.out
 # compiled-graph cache, and graceful drain are all concurrency edges whose
 # failure modes (dropped jobs, poisoned cache, nondeterministic responses)
 # only tests catch, so it holds the same floor.
+# internal/experiment holds the harness and the digests that pin every
+# table; with the full-scale tests, which this target runs, it is covered
+# at about 85%, so a floor of 80 catches a harness path that stops being
+# exercised.
 COVER_FLOORS ?= adhocradio/internal/obs=85 adhocradio/internal/bitset=85 \
-	adhocradio/internal/graph=85 adhocradio/internal/service=85
+	adhocradio/internal/graph=85 adhocradio/internal/service=85 \
+	adhocradio/internal/experiment=80
 
 .PHONY: check build test vet radiolint lint-baseline race race-full fmt-check \
 	bench-smoke bench-compare bench-save bench-kernel fuzz-smoke cover \

@@ -150,6 +150,11 @@ func runWith(ctx context.Context, o options, stdout io.Writer) error {
 		}()
 	}
 
+	if o.trials < 0 {
+		// Config.Trials treats it as 0 (the defaults), but the record
+		// would report the negative count it was given.
+		return fmt.Errorf("-trials: negative count %d (0 selects the per-experiment defaults)", o.trials)
+	}
 	want := map[string]bool{}
 	if o.only != "" {
 		// Validate eagerly: a typo'd experiment ID used to be silently

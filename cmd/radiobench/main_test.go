@@ -52,9 +52,9 @@ func TestRunWithCancelledContext(t *testing.T) {
 // TestRunWithCompletes is the happy-path counterpart: two quick experiments
 // run to completion, the record is written with manifest, per-experiment
 // counters, and (for the pooled-trial experiment) trial statistics, and it
-// is not interrupted. E2 exercises meanTime's metered trials; E5 runs its
-// simulations outside the metered helpers, so it carries counters but no
-// trial stats.
+// is not interrupted. E2 runs its trials through the experiment trial
+// runner, which meters them; E5 runs its simulations outside it, so it
+// carries counters but no trial stats.
 func TestRunWithCompletes(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -91,6 +91,25 @@ func TestRunWithCompletes(t *testing.T) {
 	}
 	if ts := rec.Experiments[0].TrialStats; ts == nil || ts.Trials == 0 || ts.MeanNS <= 0 {
 		t.Fatalf("E2: record missing trial stats: %+v", ts)
+	}
+}
+
+// TestRunWithRejectsBadFlags: a negative -trials and an unknown -only id
+// are errors before anything runs, and no record is written.
+func TestRunWithRejectsBadFlags(t *testing.T) {
+	for _, o := range []options{
+		{only: "E2", quick: true, trials: -4},
+		{only: "E42", quick: true},
+	} {
+		dir := t.TempDir()
+		o.jsonDir, o.runID = dir, "bad"
+		var out bytes.Buffer
+		if err := runWith(context.Background(), o, &out); err == nil {
+			t.Fatalf("%+v: accepted", o)
+		}
+		if _, err := os.Stat(filepath.Join(dir, benchjson.Filename("bad"))); !os.IsNotExist(err) {
+			t.Fatalf("%+v: record written (stat err %v)", o, err)
+		}
 	}
 }
 

@@ -5,10 +5,13 @@
 //
 //	radiosim -topo layered -n 1024 -d 64 -proto kp -seed 7 -v
 //
-// Topologies: path, star, clique, grid, layered (random layered), complete
-// (complete layered), gnp, tree, disk, starchain.
-// Protocols: kp (optimal randomized), bgi (Decay), rr (round-robin),
-// ss (Select-and-Send), cl (Complete-Layered), inter (rr+ss interleaved).
+// Topologies (adhocradio.TopologyKinds): clique, complete (complete
+// layered), cycle, disk, gnp, grid, hypercube (dimension -d), layered
+// (random layered), path, regular (random -d-regular), star, starchain,
+// tree.
+// Protocols: kp (optimal randomized), kp-paper (kp with the paper's
+// constants), bgi (Decay), rr (round-robin), ss (Select-and-Send), cl
+// (Complete-Layered), inter (rr+ss interleaved).
 package main
 
 import (
@@ -31,11 +34,11 @@ func main() {
 
 func run() error {
 	var (
-		topo     = flag.String("topo", "layered", "topology: path|star|clique|grid|layered|complete|gnp|tree|disk|starchain")
+		topo     = flag.String("topo", "layered", "topology: "+strings.Join(adhocradio.TopologyKinds(), "|"))
 		n        = flag.Int("n", 256, "number of nodes")
-		d        = flag.Int("d", 16, "radius (layered/complete/starchain)")
+		d        = flag.Int("d", 16, "radius (layered/complete/starchain), degree (regular) or dimension (hypercube)")
 		p        = flag.Float64("p", 0.3, "edge density (layered/gnp)")
-		proto    = flag.String("proto", "kp", "protocol: kp|bgi|rr|ss|cl|inter")
+		proto    = flag.String("proto", "kp", "protocol: kp|kp-paper|bgi|rr|ss|cl|inter")
 		seed     = flag.Uint64("seed", 1, "random seed (topology and protocol)")
 		maxStep  = flag.Int("maxsteps", 0, "step budget (0 = default)")
 		verbose  = flag.Bool("v", false, "trace every step with transmissions")

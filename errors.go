@@ -19,6 +19,12 @@ import (
 // StepsSimulated describe the truncated run.
 var ErrBudgetExhausted = radio.ErrStepLimit
 
+// ErrUnfitProtocol is reported (wrapped) by Broadcast/BroadcastContext, and
+// by every Runner entry point, when the protocol's own parameter check
+// rejects the run's configuration, such as the optimal randomized algorithm
+// on a one-node network. No node program is built and no step runs.
+var ErrUnfitProtocol = radio.ErrUnfitProtocol
+
 // ErrUnknownExperiment is reported (wrapped) by RunExperiment and
 // RunExperimentContext when the experiment ID is not registered.
 var ErrUnknownExperiment = experiment.ErrUnknownExperiment

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"adhocradio/internal/radio"
 )
 
 // TestBroadcastContextCancellation: a pre-cancelled context aborts before
@@ -46,6 +48,34 @@ func TestErrBudgetExhausted(t *testing.T) {
 	}
 	if res == nil || res.StepsSimulated != 3 {
 		t.Fatalf("partial result missing or wrong: %+v", res)
+	}
+}
+
+// TestErrUnfitProtocol: the optimal randomized algorithm needs a label
+// bound of at least 1, so on a one-node network every entry point returns
+// ErrUnfitProtocol instead of panicking while building the source's
+// program, also through the wrappers that forward the check.
+func TestErrUnfitProtocol(t *testing.T) {
+	g := Path(1)
+	for _, p := range []Protocol{
+		NewOptimalRandomized(),
+		WithContractChecks(NewOptimalRandomized(), func(err error) { t.Error(err) }),
+		NewInterleaved(NewRoundRobin(), NewOptimalRandomized()),
+	} {
+		res, err := Broadcast(g, p, Config{}, Options{})
+		if !errors.Is(err, ErrUnfitProtocol) {
+			t.Fatalf("%s: err = %v, want ErrUnfitProtocol", p.Name(), err)
+		}
+		if res != nil {
+			t.Fatalf("%s: rejected run returned a Result: %+v", p.Name(), res)
+		}
+		if _, _, err := radio.RunReferenceObserved(g, p, Config{}, 0, nil); !errors.Is(err, ErrUnfitProtocol) {
+			t.Fatalf("%s: reference err = %v, want ErrUnfitProtocol", p.Name(), err)
+		}
+	}
+	// Protocols without a parameter check still run on one node.
+	if res, err := Broadcast(g, NewDecay(), Config{}, Options{}); err != nil || !res.Completed {
+		t.Fatalf("decay on one node: %+v, %v", res, err)
 	}
 }
 

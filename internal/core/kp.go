@@ -102,10 +102,10 @@ func (p *Protocol) Name() string {
 }
 
 // Validate builds the transmission schedule for cfg and reports any
-// parameter error. Callers with untrusted parameters check here before
-// handing the protocol to a simulator; NewNode itself cannot return an
-// error (the radio.Protocol interface has no error path) and panics on
-// configurations Validate would have rejected.
+// parameter error. The simulator calls it before building any program and
+// reports a rejection as radio.ErrUnfitProtocol; NewNode itself cannot
+// return an error (the radio.Protocol interface has no error path) and
+// panics on configurations Validate would have rejected.
 func (p *Protocol) Validate(cfg radio.Config) error {
 	p.once.Do(func() {
 		p.sched, p.err = buildSchedule(cfg.LabelBound(), p.params)

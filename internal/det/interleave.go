@@ -45,6 +45,19 @@ func (p Interleaved) Deterministic() bool {
 	return okA && okB && da.Deterministic() && db.Deterministic()
 }
 
+// Validate applies each half's own parameter check, if it has one, so the
+// simulator rejects a configuration either half cannot run with.
+func (p Interleaved) Validate(cfg radio.Config) error {
+	for _, h := range []radio.Protocol{p.A, p.B} {
+		if v, ok := h.(interface{ Validate(radio.Config) error }); ok {
+			if err := v.Validate(cfg); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // NewNode implements radio.Protocol.
 func (p Interleaved) NewNode(label int, cfg radio.Config) radio.NodeProgram {
 	n := &ilNode{

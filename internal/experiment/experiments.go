@@ -12,7 +12,6 @@ import (
 	"adhocradio/internal/experiment/pool"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/lowerbound"
-	"adhocradio/internal/obs"
 	"adhocradio/internal/radio"
 	"adhocradio/internal/rng"
 	"adhocradio/internal/stats"
@@ -124,35 +123,6 @@ func runPoints(ctx context.Context, cfg Config, t *Table, n int,
 	return nil
 }
 
-// meanTime runs protocol p on topologies from build for the given number of
-// trials and returns the mean and median broadcast time. Trials are sharded
-// across the pool: trial i derives its topology stream from (seed, i) and
-// its protocol stream from seed+1000+i, so the summary is identical
-// whatever the worker count. A fixed topology is built once by the caller
-// and shared: build ignores the stream and returns it, which is safe
-// because graphs are immutable. Per-trial wall times feed the observability
-// recorder; they never touch the returned summary.
-func meanTime(ctx context.Context, cfg Config, build func(src *rng.Source) (*graph.Graph, error),
-	p func() radio.Protocol, seed uint64, trials int) (stats.Summary, error) {
-	times, trialNS, err := pool.CollectMetered(ctx, cfg.workers(), trials, func(_ context.Context, i int) (int, error) {
-		src := rng.NewStream(seed, uint64(i))
-		g, err := build(src)
-		if err != nil {
-			return 0, err
-		}
-		res, err := simulate(g, p(), radio.Config{Seed: seed + uint64(1000+i)}, radio.Options{})
-		if err != nil {
-			return 0, err
-		}
-		return res.BroadcastTime, nil
-	})
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	obs.Default.ObserveTrials(trialNS)
-	return stats.SummarizeInts(times), nil
-}
-
 // E1: at D ∈ Θ(n/polylog n) the paper's algorithm wins over BGI by a factor
 // approaching log n / log(n/D).
 func E1(ctx context.Context, cfg Config) (*Table, error) {
@@ -176,23 +146,17 @@ func E1(ctx context.Context, cfg Config) (*Table, error) {
 	err := runPoints(ctx, cfg, t, len(sizes), func(ctx context.Context, i int) ([][]any, error) {
 		n := sizes[i]
 		d := n / 16
-		build := func(src *rng.Source) (*graph.Graph, error) {
-			return graph.RandomLayered(n, d, 0.3, src)
-		}
-		known, err := meanTime(ctx, cfg, build, func() radio.Protocol {
-			return core.NewWithParams(core.Params{KnownRadius: d})
-		}, cfg.Seed+uint64(n), trials)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(n),
+			build: func(src *rng.Source) (*graph.Graph, error) {
+				return graph.RandomLayered(n, d, 0.3, src)
+			}},
+			func() radio.Protocol { return core.NewWithParams(core.Params{KnownRadius: d}) },
+			func() radio.Protocol { return core.New() },
+			func() radio.Protocol { return decay.New() })
 		if err != nil {
-			return nil, fmt.Errorf("E1 kp-known n=%d: %w", n, err)
+			return nil, fmt.Errorf("E1 n=%d: %w", n, err)
 		}
-		kp, err := meanTime(ctx, cfg, build, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(n), trials)
-		if err != nil {
-			return nil, fmt.Errorf("E1 kp n=%d: %w", n, err)
-		}
-		bgi, err := meanTime(ctx, cfg, build, func() radio.Protocol { return decay.New() }, cfg.Seed+uint64(n), trials)
-		if err != nil {
-			return nil, fmt.Errorf("E1 bgi n=%d: %w", n, err)
-		}
+		known, kp, bgi := sums[0].time, sums[1].time, sums[2].time
 		model := stats.ModelBGI(float64(n), float64(d)) / stats.ModelKP(float64(n), float64(d))
 		return [][]any{{n, d, known.Mean, kp.Mean, bgi.Mean,
 			bgi.Mean / known.Mean, bgi.Mean / kp.Mean, model}}, nil
@@ -232,15 +196,14 @@ func E2(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E2 n=%d d=%d: %w", n, d, err)
 		}
-		build := func(*rng.Source) (*graph.Graph, error) { return g, nil }
-		kp, err := meanTime(ctx, cfg, build, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(n*d), trials)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(n*d),
+			build: func(*rng.Source) (*graph.Graph, error) { return g, nil }},
+			func() radio.Protocol { return core.New() },
+			func() radio.Protocol { return decay.New() })
 		if err != nil {
-			return nil, fmt.Errorf("E2 kp n=%d d=%d: %w", n, d, err)
+			return nil, fmt.Errorf("E2 n=%d d=%d: %w", n, d, err)
 		}
-		bgi, err := meanTime(ctx, cfg, build, func() radio.Protocol { return decay.New() }, cfg.Seed+uint64(n*d), trials)
-		if err != nil {
-			return nil, fmt.Errorf("E2 bgi n=%d d=%d: %w", n, d, err)
-		}
+		kp, bgi := sums[0].time, sums[1].time
 		return [][]any{{n, d, kp.Mean, bgi.Mean, bgi.Mean / kp.Mean}}, nil
 	})
 	if err != nil {
@@ -279,19 +242,21 @@ func E3(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E3 complete d=%d: %w", d, err)
 		}
-		complete, err := meanTime(ctx, cfg, func(*rng.Source) (*graph.Graph, error) {
-			return g, nil
-		}, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(d), trials)
+		kp := func() radio.Protocol { return core.New() }
+		complete, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(d),
+			build: func(*rng.Source) (*graph.Graph, error) { return g, nil }}, kp)
 		if err != nil {
 			return nil, fmt.Errorf("E3 complete d=%d: %w", d, err)
 		}
-		random, err := meanTime(ctx, cfg, func(src *rng.Source) (*graph.Graph, error) {
-			return graph.RandomLayered(n, d, 0.2, src)
-		}, func() radio.Protocol { return core.New() }, cfg.Seed+uint64(d), trials)
+		random, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(d),
+			build: func(src *rng.Source) (*graph.Graph, error) {
+				return graph.RandomLayered(n, d, 0.2, src)
+			}}, kp)
 		if err != nil {
 			return nil, fmt.Errorf("E3 random d=%d: %w", d, err)
 		}
-		return [][]any{{n, d, complete.Mean, random.Mean, complete.Mean / random.Mean}}, nil
+		tc, tr := complete[0].time.Mean, random[0].time.Mean
+		return [][]any{{n, d, tc, tr, tc / tr}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -541,31 +506,18 @@ func E8(ctx context.Context, cfg Config) (*Table, error) {
 	err := runPoints(ctx, cfg, t, len(fanins), func(ctx context.Context, pi int) ([][]any, error) {
 		w := fanins[pi]
 		g := graph.StarChain(chain, w) // read-only, shared across trial workers
-		run := func(p radio.Protocol, seed uint64) int {
-			res, err := simulate(g, p, radio.Config{Seed: seed}, radio.Options{MaxSteps: budget})
-			if err != nil {
-				return budget // censored at budget
-			}
-			return res.BroadcastTime
-		}
-		pairs, trialNS, err := pool.CollectMetered(ctx, cfg.workers(), trials, func(_ context.Context, i int) ([2]int, error) {
-			seed := cfg.Seed + uint64(100*w+i)
-			return [2]int{
-				run(core.NewWithParams(core.Params{KnownRadius: assumedRadius}), seed),
-				run(core.NewWithParams(core.Params{KnownRadius: assumedRadius, DisableUniversalStep: true}), seed),
-			}, nil
-		})
+		// Radio seeds stay cfg.Seed+100w+i: the runner adds 1000+i, and
+		// unsigned wrap-around makes the offset exact for every w.
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(100*w) - 1000,
+			budget: budget, build: func(*rng.Source) (*graph.Graph, error) { return g, nil }},
+			func() radio.Protocol { return core.NewWithParams(core.Params{KnownRadius: assumedRadius}) },
+			func() radio.Protocol {
+				return core.NewWithParams(core.Params{KnownRadius: assumedRadius, DisableUniversalStep: true})
+			})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E8 fanin=%d: %w", w, err)
 		}
-		obs.Default.ObserveTrials(trialNS)
-		full := make([]int, 0, trials)
-		ablated := make([]int, 0, trials)
-		for _, pr := range pairs {
-			full = append(full, pr[0])
-			ablated = append(ablated, pr[1])
-		}
-		fs, as := stats.SummarizeInts(full), stats.SummarizeInts(ablated)
+		fs, as := sums[0].time, sums[1].time
 		return [][]any{{w, g.N(), fs.Median, as.Median, as.Median / fs.Median}}, nil
 	})
 	if err != nil {
@@ -798,23 +750,23 @@ func E13(ctx context.Context, cfg Config) (*Table, error) {
 	err := runPoints(ctx, cfg, t, len(sizes), func(ctx context.Context, i int) ([][]any, error) {
 		n := sizes[i]
 		d := n / 16
-		directed, err := meanTime(ctx, cfg, func(src *rng.Source) (*graph.Graph, error) {
-			return graph.DirectedLayered(n, d, 0.3, src)
-		}, func() radio.Protocol {
-			return core.NewWithParams(core.Params{KnownRadius: d})
-		}, cfg.Seed+uint64(2*n), trials)
+		kp := func() radio.Protocol { return core.NewWithParams(core.Params{KnownRadius: d}) }
+		directed, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(2*n),
+			build: func(src *rng.Source) (*graph.Graph, error) {
+				return graph.DirectedLayered(n, d, 0.3, src)
+			}}, kp)
 		if err != nil {
 			return nil, fmt.Errorf("E13 directed n=%d: %w", n, err)
 		}
-		undirected, err := meanTime(ctx, cfg, func(src *rng.Source) (*graph.Graph, error) {
-			return graph.RandomLayered(n, d, 0.3, src)
-		}, func() radio.Protocol {
-			return core.NewWithParams(core.Params{KnownRadius: d})
-		}, cfg.Seed+uint64(2*n), trials)
+		undirected, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(2*n),
+			build: func(src *rng.Source) (*graph.Graph, error) {
+				return graph.RandomLayered(n, d, 0.3, src)
+			}}, kp)
 		if err != nil {
 			return nil, fmt.Errorf("E13 undirected n=%d: %w", n, err)
 		}
-		return [][]any{{n, d, directed.Mean, undirected.Mean, directed.Mean / undirected.Mean}}, nil
+		td, tu := directed[0].time.Mean, undirected[0].time.Mean
+		return [][]any{{n, d, td, tu, td / tu}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -849,33 +801,18 @@ func E14(ctx context.Context, cfg Config) (*Table, error) {
 	err := runPoints(ctx, cfg, t, len(sizes), func(ctx context.Context, i int) ([][]any, error) {
 		n := sizes[i]
 		d := n / 16
-		build := func(src *rng.Source) (*graph.Graph, error) {
-			return graph.RandomLayered(n, d, 0.3, src)
-		}
-		measure := func(factor int) (stats.Summary, error) {
-			return meanTime(ctx, cfg, build, func() radio.Protocol {
-				return core.NewWithParams(core.Params{StageFactor: factor})
-			}, cfg.Seed+uint64(n), trials)
-		}
-		f16, err := measure(16)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: cfg.Seed + uint64(n),
+			build: func(src *rng.Source) (*graph.Graph, error) {
+				return graph.RandomLayered(n, d, 0.3, src)
+			}},
+			func() radio.Protocol { return core.NewWithParams(core.Params{StageFactor: 16}) },
+			func() radio.Protocol { return core.NewWithParams(core.Params{StageFactor: 128}) },
+			func() radio.Protocol { return core.NewPaperExact() },
+			func() radio.Protocol { return decay.New() })
 		if err != nil {
-			return nil, fmt.Errorf("E14 f16 n=%d: %w", n, err)
+			return nil, fmt.Errorf("E14 n=%d: %w", n, err)
 		}
-		f128, err := measure(128)
-		if err != nil {
-			return nil, fmt.Errorf("E14 f128 n=%d: %w", n, err)
-		}
-		paper, err := meanTime(ctx, cfg, build, func() radio.Protocol {
-			return core.NewPaperExact()
-		}, cfg.Seed+uint64(n), trials)
-		if err != nil {
-			return nil, fmt.Errorf("E14 paper n=%d: %w", n, err)
-		}
-		bgi, err := meanTime(ctx, cfg, build, func() radio.Protocol { return decay.New() }, cfg.Seed+uint64(n), trials)
-		if err != nil {
-			return nil, fmt.Errorf("E14 bgi n=%d: %w", n, err)
-		}
-		return [][]any{{n, d, f16.Mean, f128.Mean, paper.Mean, bgi.Mean}}, nil
+		return [][]any{{n, d, sums[0].time.Mean, sums[1].time.Mean, sums[2].time.Mean, sums[3].time.Mean}}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,16 +2,13 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"adhocradio/internal/core"
 	"adhocradio/internal/decay"
 	"adhocradio/internal/det"
-	"adhocradio/internal/experiment/pool"
 	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
-	"adhocradio/internal/obs"
 	"adhocradio/internal/radio"
 	"adhocradio/internal/rng"
 )
@@ -21,73 +18,6 @@ import (
 // external interference — are relaxed through internal/fault. Every fault
 // stream is derived from (cfg.Seed, point/trial index) via rng.NewStream, so
 // the tables obey the same bit-identical-under--parallel contract as E1-E14.
-
-// faultSummary aggregates one (protocol, fault level) measurement point.
-type faultSummary struct {
-	meanTime float64 // broadcast time, censored at the step budget
-	done     float64 // fraction of trials that completed
-	informed float64 // mean informed fraction at the end of the run
-}
-
-// faultTrials runs `trials` independent simulations of p under per-trial
-// fault plans and summarizes them. Trial i derives its topology stream from
-// (base, i), its protocol seed from base+1000+i, and its fault seed from
-// rng.NewStream(base, 5000+i) — a pure function of the indices, as
-// CONTRIBUTING.md requires. Runs that exhaust the budget are censored at it
-// (faulty runs may legitimately never complete).
-func faultTrials(ctx context.Context, cfg Config, trials int, base uint64, budget int,
-	build func(src *rng.Source) (*graph.Graph, error),
-	p func() radio.Protocol,
-	plan func(trial int, g *graph.Graph, fseed uint64) *fault.Plan) (faultSummary, error) {
-
-	type out struct {
-		time     int
-		done     bool
-		informed float64
-	}
-	results, trialNS, err := pool.CollectMetered(ctx, cfg.workers(), trials, func(_ context.Context, i int) (out, error) {
-		src := rng.NewStream(base, uint64(i))
-		g, err := build(src)
-		if err != nil {
-			return out{}, err
-		}
-		fseed := rng.NewStream(base, uint64(5000+i)).Uint64()
-		res, err := simulate(g, p(), radio.Config{Seed: base + uint64(1000+i)},
-			radio.Options{MaxSteps: budget, Fault: plan(i, g, fseed)})
-		if err != nil && !errors.Is(err, radio.ErrStepLimit) {
-			return out{}, err
-		}
-		o := out{time: budget, done: res.Completed}
-		if res.Completed {
-			o.time = res.BroadcastTime
-		}
-		informed := 0
-		for _, at := range res.InformedAt {
-			if at >= 0 {
-				informed++
-			}
-		}
-		o.informed = float64(informed) / float64(g.N())
-		return o, nil
-	})
-	if err != nil {
-		return faultSummary{}, err
-	}
-	obs.Default.ObserveTrials(trialNS)
-	var s faultSummary
-	for _, o := range results {
-		s.meanTime += float64(o.time)
-		if o.done {
-			s.done++
-		}
-		s.informed += o.informed
-	}
-	k := float64(len(results))
-	s.meanTime /= k
-	s.done /= k
-	s.informed /= k
-	return s, nil
-}
 
 // E15: broadcast-time degradation under per-step link loss. The randomized
 // KP algorithm retries probabilistically forever, so loss costs it a
@@ -123,17 +53,14 @@ func E15(ctx context.Context, cfg Config) (*Table, error) {
 			}
 			return &fault.Plan{Seed: fseed, LinkLoss: loss}
 		}
-		kp, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return core.New() }, plan)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: base, budget: budget, build: build, plan: plan},
+			func() radio.Protocol { return core.New() },
+			func() radio.Protocol { return det.SelectAndSend{} })
 		if err != nil {
-			return nil, fmt.Errorf("E15 kp loss=%.2f: %w", loss, err)
+			return nil, fmt.Errorf("E15 loss=%.2f: %w", loss, err)
 		}
-		ss, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return det.SelectAndSend{} }, plan)
-		if err != nil {
-			return nil, fmt.Errorf("E15 ss loss=%.2f: %w", loss, err)
-		}
-		return [][]any{{loss, n, kp.meanTime, kp.done, ss.meanTime, ss.done}}, nil
+		kp, ss := sums[0], sums[1]
+		return [][]any{{loss, n, kp.time.Mean, kp.done, ss.time.Mean, ss.done}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -188,17 +115,14 @@ func E16(ctx context.Context, cfg Config) (*Table, error) {
 			}
 			return &fault.Plan{Seed: fseed, Jammers: hosts, JamProb: jam}
 		}
-		kp, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return core.New() }, plan)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: base, budget: budget, build: build, plan: plan},
+			func() radio.Protocol { return core.New() },
+			func() radio.Protocol { return det.SelectAndSend{} })
 		if err != nil {
-			return nil, fmt.Errorf("E16 kp jam=%.1f: %w", jam, err)
+			return nil, fmt.Errorf("E16 jam=%.1f: %w", jam, err)
 		}
-		ss, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return det.SelectAndSend{} }, plan)
-		if err != nil {
-			return nil, fmt.Errorf("E16 ss jam=%.1f: %w", jam, err)
-		}
-		return [][]any{{jam, n, numJam, kp.meanTime, kp.done, ss.meanTime, ss.done}}, nil
+		kp, ss := sums[0], sums[1]
+		return [][]any{{jam, n, numJam, kp.time.Mean, kp.done, ss.time.Mean, ss.done}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -243,16 +167,13 @@ func E17(ctx context.Context, cfg Config) (*Table, error) {
 			}
 			return &fault.Plan{Seed: fseed, CrashFrac: crash, CrashWindow: n}
 		}
-		dfs, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return det.DFSNeighborhood{} }, plan)
+		sums, err := runTrials(ctx, cfg, trialSpec{trials: trials, seed: base, budget: budget, build: build, plan: plan},
+			func() radio.Protocol { return det.DFSNeighborhood{} },
+			func() radio.Protocol { return decay.New() })
 		if err != nil {
-			return nil, fmt.Errorf("E17 dfs crash=%.2f: %w", crash, err)
+			return nil, fmt.Errorf("E17 crash=%.2f: %w", crash, err)
 		}
-		dec, err := faultTrials(ctx, cfg, trials, base, budget, build,
-			func() radio.Protocol { return decay.New() }, plan)
-		if err != nil {
-			return nil, fmt.Errorf("E17 decay crash=%.2f: %w", crash, err)
-		}
+		dfs, dec := sums[0], sums[1]
 		return [][]any{{crash, n, dfs.informed, dfs.done, dec.informed, dec.done}}, nil
 	})
 	if err != nil {

@@ -71,7 +71,7 @@ const (
 // count may change wall-clock time only, never a single byte.
 func TestParallelBitIdentical(t *testing.T) {
 	// Under -short keep a representative subset so the race-detector run
-	// stays fast: E2 (pooled trials via meanTime), E5 (multi-row points),
+	// stays fast: E2 (pooled trials via runTrials), E5 (multi-row points),
 	// E7 (sequential graph prologue + parallel measurements), E9 (shared
 	// read-only graph), E12 (adversary construction in workers), E15
 	// (fault-injected trials: the fault streams must be worker-independent

@@ -68,6 +68,15 @@ func (c *contractProtocol) Deterministic() bool {
 	return ok && d.Deterministic()
 }
 
+// Validate forwards the inner protocol's parameter check, so a wrapped run
+// rejects what an unwrapped one rejects.
+func (c *contractProtocol) Validate(cfg Config) error {
+	if v, ok := c.inner.(validator); ok {
+		return v.Validate(cfg)
+	}
+	return nil
+}
+
 func (c *contractProtocol) NewNode(label int, cfg Config) NodeProgram {
 	return c.wrap(label, c.inner.NewNode(label, cfg))
 }

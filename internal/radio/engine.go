@@ -169,6 +169,9 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	if opt.MaxSteps < 0 {
 		return fmt.Errorf("radio: negative MaxSteps %d", opt.MaxSteps)
 	}
+	if err := validate(p, cfg); err != nil {
+		return err
+	}
 	maxSteps := opt.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps(n)

@@ -23,6 +23,7 @@ package radio
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
@@ -243,6 +244,32 @@ type Result struct {
 // ErrStepLimit is wrapped in the error returned by Run when the step budget
 // is exhausted before broadcast completes.
 var ErrStepLimit = errors.New("radio: step limit reached before broadcast completed")
+
+// ErrUnfitProtocol is wrapped in the error a run returns when the
+// protocol's own parameter check rejects the run's configuration: KP, for
+// one, needs a label bound of at least 1, so it cannot run on a one-node
+// network. A protocol opts in with a Validate(Config) error method; every
+// Runner entry point and RunReferenceObserved call it before building any
+// node program, so NewNode never sees a configuration Validate rejects.
+var ErrUnfitProtocol = errors.New("radio: protocol cannot run with this configuration")
+
+// validator is the optional Protocol extension behind ErrUnfitProtocol.
+type validator interface {
+	Validate(cfg Config) error
+}
+
+// validate applies p's Validate, if it has one, to the run's resolved
+// configuration.
+func validate(p Protocol, cfg Config) error {
+	v, ok := p.(validator)
+	if !ok {
+		return nil
+	}
+	if err := v.Validate(cfg); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrUnfitProtocol, p.Name(), err)
+	}
+	return nil
+}
 
 // DefaultMaxSteps is the budget used when Options.MaxSteps is zero: generous
 // enough for every algorithm in this repository on every benign topology

@@ -61,6 +61,9 @@ func RunReferenceObserved(g ReferenceGraph, p Protocol, cfg Config, maxSteps int
 	if maxSteps < 0 {
 		return nil, c, fmt.Errorf("radio: negative MaxSteps %d", maxSteps)
 	}
+	if err := validate(p, cfg); err != nil {
+		return nil, c, err
+	}
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps(n)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"adhocradio/internal/graph"
 	"adhocradio/internal/obs"
+	"adhocradio/internal/radio"
 )
 
 // SimulateRequest is the body of POST /v1/simulate.
@@ -171,7 +172,7 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled):
 			status = http.StatusGatewayTimeout
-		case errors.Is(j.err, errUnfitProtocol):
+		case errors.Is(j.err, radio.ErrUnfitProtocol):
 			status = http.StatusBadRequest
 		}
 		writeError(w, status, j.err)

@@ -47,9 +47,6 @@ var (
 	// ErrUnknownProtocol is wrapped by protocolFor for unrecognized
 	// protocol names; handlers map it to 400.
 	ErrUnknownProtocol = errors.New("service: unknown protocol")
-	// errUnfitProtocol is wrapped by runSimulate when the protocol's own
-	// parameter check rejects the topology; handlers map it to 400.
-	errUnfitProtocol = errors.New("service: protocol cannot run on this topology")
 )
 
 // Config sizes the service. Zero values select sensible defaults.
@@ -203,20 +200,13 @@ func (s *Service) runSimulate(j *job, runner *radio.Runner, res *radio.Result) e
 	if err != nil {
 		return err
 	}
-	// KP's schedule needs a label bound of at least 1. Its NewNode has no
-	// error path and panics on such a configuration, which in a worker
-	// would take the whole daemon down, so check first.
 	cfg := radio.Config{N: g.N(), Seed: j.seed}
-	if kp, ok := proto.(*core.Protocol); ok {
-		if err := kp.Validate(cfg); err != nil {
-			return fmt.Errorf("%w: %w", errUnfitProtocol, err)
-		}
-	}
 	before := runner.Counters()
 	runErr := runner.RunIntoContext(j.ctx, res, g, proto, cfg, radio.Options{MaxSteps: j.maxSteps})
 	obs.Default.AddCounters(runner.Counters().Diff(before))
 	if runErr != nil && !errors.Is(runErr, radio.ErrStepLimit) {
-		// Cancellation, contract violations, ...: no usable result.
+		// Cancellation, a protocol unfit for the topology (such as KP on
+		// one node), contract violations, ...: no usable result.
 		return runErr
 	}
 	// A step-limited run still carries a meaningful partial Result; the
